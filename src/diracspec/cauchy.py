@@ -8,33 +8,42 @@ y' = A(x, lambda) y with
 C = B*Omega, D = -B.  A is trace free, so every transition matrix has unit
 determinant and the Wronskian of two solutions at one lambda is constant.
 
-Two fixed-step integrators are provided.  The default is a fourth-order
-exponential (Magnus) scheme built on two-point Gauss-Legendre sampling: the
-step matrix is the exact exponential of
+There is one integrator, a fourth-order exponential (Magnus) scheme built on
+two-point Gauss-Legendre sampling: the step matrix is the exact exponential of
 
     h*(A1 + A2)/2 + (sqrt(3) h^2 / 12) [A2, A1],
 
 evaluated in closed form for trace-free 2x2 matrices.  It is exact for
 constant coefficients (in particular for the zero potential at every
 lambda), which a plain Runge-Kutta step is not; that exactness is what lets
-eigenvalues of simple references be resolved to 1e-10 and beyond.  A
-classical RK4 stepper is kept as an option for convergence-order tests.
+eigenvalues of simple references be resolved to 1e-10 and beyond.
 
-Both coefficient matrices of a step are affine in lambda, so the
-lambda-free parts are precomputed once per (potential, grid) and the
-propagation is vectorized over a whole batch of lambda values.  That batch
-axis is the intended parallelization/performance axis of the package.
+Both coefficient matrices of a step are affine in lambda, so the lambda-free
+parts are precomputed once per (potential, grid) and every sweep is
+vectorized over a whole batch of lambda values.  The grid is walked in
+blocks of about 4096 lambda-steps, which bounds the working set at any batch
+size.  The step exponentials of a block are built at once and, the step
+product being associative, combined without a per-step loop:
+
+* an endpoint sweep collapses each block by pairwise (tree) products and
+  applies the block product to the running state;
+* a renormalised sweep does the same, but divides every product of every
+  tree level, and the state after every block, by its largest entry once
+  that exceeds 1e100.  The factor is positive, so signs and ratios -- all a
+  caller of a stiff half-axis sweep reads -- survive without overflow;
+* a stored sweep takes the inclusive prefix products of each block
+  (Hillis-Steele rounds) and applies them to the state, giving every node.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .core import (
     DiracError,
-    DomainError,
     Grid,
     GridMismatchError,
     PotentialMatrix,
@@ -42,20 +51,21 @@ from .core import (
 )
 
 _SQRT3 = np.sqrt(3.0)
+# lambda-steps per block of a sweep
+_BLOCK = 4096
+# renormalisation threshold; a product of two factors below it cannot overflow
+_HUGE = 1e100
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Integrator selection: method 'magnus4' (default) or 'rk4'; m grid intervals."""
+    """Integrator selection; 'magnus4' is the only method."""
 
     method: str = "magnus4"
-    m: int | None = None
 
     def __post_init__(self):
-        if self.method not in ("magnus4", "rk4"):
+        if self.method != "magnus4":
             raise DiracError(f"unknown method {self.method!r}")
-        if self.m is not None and self.m < 64:
-            raise DiracError("need at least 64 intervals")
 
 
 @dataclass(frozen=True)
@@ -87,7 +97,10 @@ _D = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
 def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Per-step matrices (P, Q) with step exponent M = P + lambda*Q."""
+    """Step exponents M = P + lambda*Q as planar entries (a, b, c), shape (3, m).
+
+    M is trace free, so M = ((a, b), (c, -a)).
+    """
     h = grid.h
     x0 = grid.nodes[:-1]
     g1 = x0 + h * (0.5 - _SQRT3 / 6.0)
@@ -99,29 +112,23 @@ def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> tuple[np.ndarray, np.nda
     comm_cd = dc @ _D - _D @ dc
     w = _SQRT3 * h * h / 12.0
     P = 0.5 * h * (c1 + c2) + w * comm_cc
-    Q = np.broadcast_to(h * _D, P.shape) + w * comm_cd
-    return P, np.ascontiguousarray(Q)
+    Q = h * _D + w * comm_cd
+    return (
+        np.stack([P[:, 0, 0], P[:, 0, 1], P[:, 1, 0]]),
+        np.stack([Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 0]]),
+    )
 
 
-def _rk4_coeffs(pot: PotentialMatrix, grid: Grid):
-    x = grid.nodes
-    mid = x[:-1] + 0.5 * grid.h
-    return _c_matrix(pot, x[:-1]), _c_matrix(pot, mid), _c_matrix(pot, x[1:])
-
-
-# small bounded cache of per-(potential, grid, method) step coefficients
+# small bounded cache of per-(potential, grid) step coefficients
 _COEFF_CACHE: dict = {}
 
 
-def _step_coeffs(pot: PotentialMatrix, grid: Grid, method: str):
-    key = (id(pot), grid.a, grid.b, grid.m, method)
+def _step_coeffs(pot: PotentialMatrix, grid: Grid):
+    key = (id(pot), grid.a, grid.b, grid.m)
     hit = _COEFF_CACHE.get(key)
     if hit is not None and hit[0] is pot:
         return hit[1]
-    if method == "magnus4":
-        data = _magnus_coeffs(pot, grid)
-    else:
-        data = _rk4_coeffs(pot, grid)
+    data = _magnus_coeffs(pot, grid)
     if len(_COEFF_CACHE) > 48:
         _COEFF_CACHE.pop(next(iter(_COEFF_CACHE)))
     _COEFF_CACHE[key] = (pot, data)
@@ -131,28 +138,84 @@ def _step_coeffs(pot: PotentialMatrix, grid: Grid, method: str):
 def _expm_tracefree(a, b, c):
     """Entries of exp(((a, b), (c, -a))) via cosh/sinhc of s, s^2 = a^2 + bc."""
     z = a * a + b * c
+    small = np.abs(z) < 1e-12
     if np.iscomplexobj(z):
-        s = np.sqrt(z.astype(complex))
-        small = np.abs(z) < 1e-12
-        s_safe = np.where(small, 1.0, s)
+        s = np.sqrt(z)
         ch = np.cosh(s)
-        sh = np.where(small, 1.0 + z / 6.0 + z * z / 120.0, np.sinh(s_safe) / s_safe)
+        sh = np.sinh(s) / np.where(small, 1.0, s)
     else:
+        # each entry evaluates only its branch: cosh/sinh for z >= 0, else cos/sin
         r = np.sqrt(np.abs(z))
         pos = z >= 0.0
-        small = np.abs(z) < 1e-12
-        r_safe = np.where(small, 1.0, r)
-        ch = np.where(pos, np.cosh(r), np.cos(r))
-        sh = np.where(
-            small,
-            1.0 + z / 6.0 + z * z / 120.0,
-            np.where(pos, np.sinh(r_safe), np.sin(r_safe)) / r_safe,
-        )
+        neg = ~pos
+        ch = np.cosh(r, where=pos, out=np.empty_like(r))
+        np.cos(r, where=neg, out=ch)
+        sh = np.sinh(r, where=pos, out=np.empty_like(r))
+        np.sin(r, where=neg, out=sh)
+        sh /= np.where(small, 1.0, r)
+    sh = np.where(small, 1.0 + z / 6.0 + z * z / 120.0, sh)
     return ch + sh * a, sh * b, sh * c, ch - sh * a
 
 
-def _apply_step(y1, y2, e00, e01, e10, e11):
-    return e00 * y1 + e01 * y2, e10 * y1 + e11 * y2
+def _mul(x, y):
+    """Planar 2x2 products x @ y; each operand is a sequence (00, 01, 10, 11) of stacks."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (
+        x00 * y00 + x01 * y10,
+        x00 * y01 + x01 * y11,
+        x10 * y00 + x11 * y10,
+        x10 * y01 + x11 * y11,
+    )
+
+
+def _apply(T, y):
+    """Planar 2x2 stacks T applied to the state y = (y1, y2)."""
+    return T[0] * y[0] + T[1] * y[1], T[2] * y[0] + T[3] * y[1]
+
+
+def _rescale(x):
+    """Divide the stacked entries x by their largest modulus where that exceeds _HUGE."""
+    big = functools.reduce(np.maximum, [np.abs(e) for e in x])
+    mask = big > _HUGE
+    if not np.any(mask):
+        return x
+    scale = np.where(mask, big, 1.0)
+    return tuple(e / scale for e in x)
+
+
+def _tree_product(E, renorm: bool):
+    """Ordered product E[n-1] ... E[1] E[0] of planar stacks along the leading axis.
+
+    Pairwise rounds halve the stack log2(n) times; an odd last factor moves
+    to the next round unchanged.
+    """
+    while E[0].shape[0] > 1:
+        n = E[0].shape[0]
+        n2 = n - n % 2
+        P = _mul([e[1:n2:2] for e in E], [e[0:n2:2] for e in E])
+        if renorm:
+            P = _rescale(P)
+        if n2 < n:
+            P = tuple(np.concatenate([p, e[n2:]]) for p, e in zip(P, E))
+        E = P
+    return tuple(e[0] for e in E)
+
+
+def _prefix_products(E):
+    """Inclusive prefix products E[k] ... E[0] along the leading axis, in place.
+
+    Hillis-Steele scan: after the round with offset d, entry k holds the
+    product of factors max(0, k - 2d + 1) .. k.
+    """
+    n = E[0].shape[0]
+    d = 1
+    while d < n:
+        P = _mul([e[d:] for e in E], [e[:-d] for e in E])
+        for e, p in zip(E, P):
+            e[d:] = p
+        d *= 2
+    return E
 
 
 def propagate(
@@ -170,10 +233,14 @@ def propagate(
     lam has shape (K,); y0 has shape (2,) or (2, K).  direction=+1 runs from
     grid.a to grid.b, -1 the other way (starting from y(b) = y0).  With
     store=True the full node history of shape (2, K, m+1) is returned, otherwise
-    the endpoint of shape (2, K).  renorm rescales the state by a positive
-    factor whenever it grows past 1e100 (only ratios survive; used for
-    stiff half-axis sweeps).
+    the endpoint of shape (2, K).  renorm (endpoint sweeps only) rescales
+    products and state by positive factors whenever they grow past 1e100
+    (only ratios survive; used for stiff half-axis sweeps).
     """
+    if method != "magnus4":
+        raise DiracError(f"unknown method {method!r}")
+    if store and renorm:
+        raise DiracError("renorm applies to endpoint sweeps only")
     lam = np.atleast_1d(np.asarray(lam))
     K = lam.shape[0]
     cplx = np.iscomplexobj(lam) or np.iscomplexobj(np.asarray(y0))
@@ -181,100 +248,44 @@ def propagate(
     y0 = np.asarray(y0, dtype=dtype)
     if y0.ndim == 1:
         y0 = np.repeat(y0[:, None], K, axis=1)
-    y1 = y0[0].astype(dtype).copy()
-    y2 = y0[1].astype(dtype).copy()
+    y = (y0[0], y0[1])
     m = grid.m
+    P, Q = _step_coeffs(pot, grid)
+    sign = 1.0 if direction > 0 else -1.0
+    block = max(8, _BLOCK // max(K, 1))
+    starts = range(0, m, block)
+    if direction < 0:
+        starts = reversed(starts)
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
-    sign = 1.0 if direction > 0 else -1.0
-    steps = range(m) if direction > 0 else range(m - 1, -1, -1)
-    node0 = 0 if direction > 0 else m
+        node0 = 0 if direction > 0 else m
+        Y[0, :, node0], Y[1, :, node0] = y
 
-    if method == "magnus4" and not store and not renorm:
-        # endpoint only: build every step exponential at once, then collapse
-        # the ordered product by pairwise reduction (log2(m) matmul rounds)
-        P, Q = _step_coeffs(pot, grid, "magnus4")
-        a = sign * (P[:, None, 0, 0] + lam[None, :] * Q[:, None, 0, 0])
-        b = sign * (P[:, None, 0, 1] + lam[None, :] * Q[:, None, 0, 1])
-        c = sign * (P[:, None, 1, 0] + lam[None, :] * Q[:, None, 1, 0])
-        e00, e01, e10, e11 = _expm_tracefree(a, b, c)
-        M = np.empty((m, K, 2, 2), dtype=e00.dtype)
-        M[..., 0, 0] = e00
-        M[..., 0, 1] = e01
-        M[..., 1, 0] = e10
-        M[..., 1, 1] = e11
+    for s in starts:
+        e = min(s + block, m)
+        a, b, c = sign * (P[:, s:e, None] + Q[:, s:e, None] * lam)
+        E = _expm_tracefree(a, b, c)
         if direction < 0:
-            M = M[::-1]
-        while M.shape[0] > 1:
-            half = M.shape[0] // 2
-            tail = M[2 * half :]
-            M = M[1 : 2 * half : 2] @ M[0 : 2 * half : 2]
-            if tail.shape[0]:
-                M = np.concatenate([M[:-1], tail @ M[-1:]])
-        T = M[0]
-        y1n = T[:, 0, 0] * y1 + T[:, 0, 1] * y2
-        y2n = T[:, 1, 0] * y1 + T[:, 1, 1] * y2
-        return np.stack([y1n, y2n])
-
-    if method == "magnus4":
-        P, Q = _step_coeffs(pot, grid, "magnus4")
-        if store:
-            Y[0, :, node0] = y1
-            Y[1, :, node0] = y2
-        for i in steps:
-            a = sign * (P[i, 0, 0] + lam * Q[i, 0, 0])
-            b = sign * (P[i, 0, 1] + lam * Q[i, 0, 1])
-            c = sign * (P[i, 1, 0] + lam * Q[i, 1, 0])
-            y1, y2 = _apply_step(y1, y2, *_expm_tracefree(a, b, c))
+            E = tuple(x[::-1] for x in E)
+        if not store:
+            y = _apply(_tree_product(E, renorm), y)
             if renorm:
-                big = np.maximum(np.abs(y1), np.abs(y2))
-                mask = big > 1e100
-                if np.any(mask):
-                    scale = np.where(mask, big, 1.0)
-                    y1 = y1 / scale
-                    y2 = y2 / scale
-            if store:
-                j = i + 1 if direction > 0 else i
-                Y[0, :, j] = y1
-                Y[1, :, j] = y2
-    elif method == "rk4":
-        C0, Cm, C1 = _step_coeffs(pot, grid, "rk4")
-        h = sign * grid.h
-        if store:
-            Y[0, :, node0] = y1
-            Y[1, :, node0] = y2
-
-        def rhs(Cmat, lam, u1, u2):
-            d1 = Cmat[0, 0] * u1 + (Cmat[0, 1] - lam) * u2
-            d2 = (Cmat[1, 0] + lam) * u1 + Cmat[1, 1] * u2
-            return d1, d2
-
-        for i in steps:
-            Ca, Cb = (C0[i], C1[i]) if direction > 0 else (C1[i], C0[i])
-            k1 = rhs(Ca, lam, y1, y2)
-            k2 = rhs(Cm[i], lam, y1 + 0.5 * h * k1[0], y2 + 0.5 * h * k1[1])
-            k3 = rhs(Cm[i], lam, y1 + 0.5 * h * k2[0], y2 + 0.5 * h * k2[1])
-            k4 = rhs(Cb, lam, y1 + h * k3[0], y2 + h * k3[1])
-            y1 = y1 + (h / 6.0) * (k1[0] + 2 * k2[0] + 2 * k3[0] + k4[0])
-            y2 = y2 + (h / 6.0) * (k1[1] + 2 * k2[1] + 2 * k3[1] + k4[1])
-            if store:
-                j = i + 1 if direction > 0 else i
-                Y[0, :, j] = y1
-                Y[1, :, j] = y2
-    else:
-        raise DiracError(f"unknown method {method!r}")
+                y = _rescale(y)
+            continue
+        y1, y2 = _apply(_prefix_products(E), y)
+        if direction > 0:
+            Y[0, :, s + 1 : e + 1], Y[1, :, s + 1 : e + 1] = y1.T, y2.T
+        else:
+            Y[0, :, s:e], Y[1, :, s:e] = y1[::-1].T, y2[::-1].T
+        y = (y1[-1], y2[-1])
 
     if store:
         return Y
-    return np.stack([y1, y2])
+    return np.stack(y)
 
 
 def _grid_for(pot: PotentialMatrix, cfg: SolverConfig | None) -> tuple[Grid, str]:
-    cfg = cfg or SolverConfig()
-    g = pot.domain
-    if cfg.m is not None and cfg.m != g.m:
-        g = Grid(g.a, g.b, cfg.m)
-    return g, cfg.method
+    return pot.domain, (cfg or SolverConfig()).method
 
 
 def initial_state(alpha: float) -> np.ndarray:
@@ -326,19 +337,3 @@ def wronskian(phi: Trajectory2, u: Trajectory2):
     w = phi.y1 * u.y2 - phi.y2 * u.y1
     dev = float(np.max(np.abs(w - np.mean(w))))
     return w, dev
-
-
-def boundary_values(
-    pot: PotentialMatrix,
-    lams: np.ndarray,
-    alpha: float,
-    grid: Grid | None = None,
-    method: str = "magnus4",
-) -> np.ndarray:
-    """Endpoint states phi(b, lambda, alpha) for a batch of lambdas, shape (2, K)."""
-    g = grid or pot.domain
-    if not np.all(np.isfinite(pot.sample_p(g.nodes))) or not np.all(
-        np.isfinite(pot.sample_q(g.nodes))
-    ):
-        raise DomainError("non-finite potential sample")
-    return propagate(pot, g, lams, initial_state(alpha), method=method)

@@ -64,36 +64,6 @@ def hermite_phi(n: int, x) -> np.ndarray:
     return cur
 
 
-def _hermite_table(n_max: int, x: np.ndarray) -> np.ndarray:
-    """phi_0..phi_n_max on the given nodes, shape (n_max+1, len(x))."""
-    out = np.empty((n_max + 1, x.size))
-    out[0] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    if n_max >= 1:
-        out[1] = x * math.sqrt(2.0) * out[0]
-    for k in range(1, n_max):
-        out[k + 1] = x * math.sqrt(2.0 / (k + 1)) * out[k] - math.sqrt(
-            k / (k + 1)
-        ) * out[k - 1]
-    return out
-
-
-@dataclass(frozen=True)
-class HermiteBasis:
-    """Orthonormal Hermite functions sampled on a grid."""
-
-    n_max: int
-    x_grid: Grid
-    values: np.ndarray  # (n_max+1, m+1)
-
-    @staticmethod
-    def build(n_max: int, x_grid: Grid) -> "HermiteBasis":
-        return HermiteBasis(n_max, x_grid, _hermite_table(n_max, x_grid.nodes))
-
-    def gram(self) -> np.ndarray:
-        w = self.x_grid.trapezoid_weights()
-        return (self.values * w) @ self.values.T
-
-
 def _whole_axis_eigvec(n: int, x: np.ndarray) -> np.ndarray:
     """Whole-axis eigenvector for index n, shape (2, len(x))."""
     if n == 0:
@@ -470,7 +440,9 @@ def weyl_m0(
     method = (cfg or SolverConfig()).method
     u = propagate(pot, grid, np.array([lam]), v, method=method,
                   direction=-1, renorm=True)
-    if abs(u[1, 0]) < 1e-300:
+    # the renormalised state carries an arbitrary positive scale, so judge u2
+    # against |u|; the negated test also rejects a zero or non-finite state
+    if not abs(u[1, 0]) > 1e-15 * max(abs(u[0, 0]), abs(u[1, 0])):
         raise DomainError("backward solution lost accuracy; increase x_max")
     return complex(u[0, 0] / u[1, 0])
 

@@ -174,3 +174,89 @@ def test_complex_lambda_matches_real():
     tr_c = solve_cauchy(pot, 1.5 + 0j, 0.0)
     assert np.max(np.abs(tr_r.y1 - np.real(tr_c.y1))) < 1e-12
     assert np.max(np.abs(np.imag(np.asarray(tr_c.y1)))) < 1e-12
+
+
+def _sin_pot(m):
+    g = Grid(0.0, math.pi, m)
+    return g, PotentialMatrix(lambda x: 0.3 * np.cos(x), lambda x: 2.0 * np.sin(3.0 * x), g)
+
+
+@pytest.mark.parametrize("K", [1, 7])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_endpoint_matches_stored_sweep(K, direction, cplx):
+    g, pot = _sin_pot(1000)
+    lam = np.linspace(-6.0, 9.0, K) + (0.7j if cplx else 0.0)
+    y0 = np.array([0.3, -0.9])
+    end = propagate(pot, g, lam, y0, direction=direction)
+    Y = propagate(pot, g, lam, y0, direction=direction, store=True)
+    last = Y[:, :, -1] if direction > 0 else Y[:, :, 0]
+    assert np.max(np.abs(end - last)) <= 1e-13 * np.max(np.abs(last))
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_stored_sweep_matches_stepwise_reference(direction):
+    """Node history against a plain loop over the same step exponentials."""
+    from diracspec.cauchy import _expm_tracefree, _step_coeffs
+
+    g, pot = _sin_pot(300)
+    lam = np.array([-4.0, 0.5, 11.0])
+    y = np.array([[0.3] * 3, [-0.9] * 3])
+    Y = propagate(pot, g, lam, y[:, 0], direction=direction, store=True)
+    P, Q = _step_coeffs(pot, g)
+    ref = np.empty_like(Y)
+    steps = range(g.m) if direction > 0 else range(g.m - 1, -1, -1)
+    ref[:, :, 0 if direction > 0 else g.m] = y
+    for i in steps:
+        a, b, c = direction * (P[:, i, None] + Q[:, i, None] * lam)
+        e00, e01, e10, e11 = _expm_tracefree(a, b, c)
+        y = np.array([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1]])
+        ref[:, :, i + 1 if direction > 0 else i] = y
+    assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_renorm_keeps_ratio():
+    g, pot = _sin_pot(1024)
+    lam = np.array([-3.0, 0.4, 2.5, 7.0 + 0.5j])
+    v = np.array([1.0, 0.2])
+    for direction in (1, -1):
+        plain = propagate(pot, g, lam, v, direction=direction)
+        ren = propagate(pot, g, lam, v, direction=direction, renorm=True)
+        np.testing.assert_allclose(ren[0] / ren[1], plain[0] / plain[1], rtol=1e-12)
+
+
+def test_renorm_backward_sweep_stays_finite():
+    # q = x on [0, 30]: the backward solution grows like exp(450) unscaled
+    g = Grid(0.0, 30.0, 2048)
+    pot = PotentialMatrix(None, lambda x: x, g)
+    u = propagate(pot, g, np.array([0.5]), np.array([0.0, 1.0]), direction=-1, renorm=True)
+    assert np.all(np.isfinite(u))
+    assert 0.0 < np.max(np.abs(u)) <= 1e100
+
+
+def test_renorm_working_set_is_bounded():
+    import tracemalloc
+
+    g = Grid(0.0, 14.0, 1024)
+    pot = PotentialMatrix(None, lambda x: x, g)
+    lam = np.linspace(-3.0, 3.0, 241)
+    propagate(pot, g, lam[:1], np.array([0.0, 1.0]), direction=-1, renorm=True)
+    tracemalloc.start()
+    try:
+        propagate(pot, g, lam, np.array([0.0, 1.0]), direction=-1, renorm=True)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_removed_options_rejected():
+    from diracspec.core import DiracError
+
+    g, pot = _sin_pot(64)
+    with pytest.raises(DiracError):
+        SolverConfig(method="rk4")
+    with pytest.raises(DiracError):
+        propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), method="rk4")
+    with pytest.raises(DiracError):
+        propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), store=True, renorm=True)

@@ -152,6 +152,19 @@ def test_similarity_sin(sin_pot, sin_data_40):
     assert d.c**2 * d.a == pytest.approx(d.b, rel=1e-8)
 
 
+def test_similarity_on_potential_grid():
+    """Every routine runs on pot.domain; the old regridding option is gone."""
+    from diracspec.cauchy import SolverConfig
+
+    with pytest.raises(TypeError):
+        SolverConfig(m=512)
+    pot = PotentialMatrix(None, lambda x: np.sin(x), Grid(0.0, math.pi, 1024))
+    data = norming_constants(pot, 0.0, find_eigenvalues(pot, 0.0, 0.0, 0, 0))
+    out = similarity_coefficients(pot, 0.0, 0.0, data, cfg=SolverConfig())
+    d = out.items[0]
+    assert d.c**2 * d.a == pytest.approx(d.b, rel=1e-8)
+
+
 def test_gradient_zero_potential(zero_pot):
     grad = eigen_gradient(zero_pot, 0.2, 0.0, 1)
     assert grad[0] == pytest.approx(-1.0 / math.pi, rel=1e-8)

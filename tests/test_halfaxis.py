@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracspec.core import ContractError, Grid, InterlacingError
+from diracspec.core import ContractError, DomainError, Grid, InterlacingError, PotentialMatrix
 from diracspec.halfaxis import (
     ModelSpectrum,
     SurgeryPlan,
@@ -151,6 +151,15 @@ def test_weyl_m0_asymptotics():
         assert abs(val - sgn * 1j) < 0.05
     errs = [abs(weyl_m0(pot, 0.0, mu, x_max=14.0) - 1j) for mu in (40.0, 80.0)]
     assert errs[1] < errs[0]
+
+
+def test_weyl_m0_rejects_broken_sweep():
+    from diracspec.halfaxis import weyl_m0
+
+    pot = PotentialMatrix(None, lambda x: np.where(np.abs(x - 5.0) < 0.1, np.inf, x),
+                          Grid(0.0, 14.0, 1024))
+    with np.errstate(all="ignore"), pytest.raises(DomainError):
+        weyl_m0(pot, 0.0, 50.0, x_max=14.0)
 
 
 def test_two_spectra_norming_model():
