@@ -247,8 +247,12 @@ def norming_constants(
     pot: PotentialMatrix, alpha: float, data: SpectralData, cfg: SolverConfig | None = None
 ) -> SpectralData:
     """Attach a_n = integral of |phi(., lambda_n, alpha)|^2 over [0, pi]."""
-    lams = data.lams()
-    Y = _trajectories(pot, lams, alpha, cfg)
+    return _normed_trajectories(pot, alpha, data, cfg)[0]
+
+
+def _normed_trajectories(pot, alpha, data, cfg):
+    """norming_constants(...) and the swept phi(., lambda_n), shape (2, K, m+1)."""
+    Y = _trajectories(pot, data.lams(), alpha, cfg)
     w = pot.domain.trapezoid_weights()
     a = (np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2) @ w
     if np.any(a <= 0):
@@ -257,7 +261,7 @@ def norming_constants(
         n: replace(d, a=float(a[i]))
         for i, (n, d) in enumerate(sorted(data.items.items()))
     }
-    return SpectralData(data.angles, items)
+    return SpectralData(data.angles, items), Y
 
 
 def normalized_eigenfunction(

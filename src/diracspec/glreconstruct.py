@@ -12,9 +12,11 @@ zero-potential Cauchy solutions.  The transformation kernel K solves
 
     K(x, t) + F(x, t) + int_0^x K(x, s) F(s, t) ds = 0,   0 <= t <= x,
 
-one dense trapezoid-collocation system per x node, and the potential is
-read off the diagonal: with K_A the B-anticommuting (symmetric trace-free)
-part of K(x, x),
+F(x, t) = U(x) C U(t)^T has rank R = 2(2N + 1), so trapezoid collocation
+reduces at every x node to an R x R system for the coefficients G(x) of
+K(x, t) = G(x) U(t)^T, solved for blocks of nodes at once.  The potential
+is read off the diagonal: with K_A the B-anticommuting (symmetric
+trace-free) part of K(x, x),
 
     Omega(x) = K_A(x, x) B - B K_A(x, x),
 
@@ -42,8 +44,8 @@ from .core import (
 from .eigen import SpectralData, SpectralDatum
 
 
-def _phi0(lam: float, alpha: float, x: np.ndarray) -> np.ndarray:
-    """Zero-potential Cauchy solution, shape (2, len(x))."""
+def _phi0(lam, alpha: float, x: np.ndarray) -> np.ndarray:
+    """Zero-potential Cauchy solution, shape (2,) + broadcast(lam, x) shape."""
     ph = lam * x + alpha
     return np.stack([np.sin(ph), -np.cos(ph)])
 
@@ -104,25 +106,13 @@ def build_F(series: GLSeriesKernel, x, t) -> np.ndarray:
     return out
 
 
-def _F_grid(series: GLSeriesKernel, grid: Grid) -> np.ndarray:
-    """F on all node pairs, shape (nx, nx, 2, 2)."""
-    alpha = series.target.angles.alpha
-    xs = grid.nodes
-    nx = xs.size
-    F = np.zeros((nx, nx, 2, 2))
-    for n in series.ordered_indices():
-        d = series.target.items[n]
-        r = series.reference.items[n]
-        u = _phi0(d.lam, alpha, xs)
-        v = _phi0(r.lam, alpha, xs)
-        F += np.einsum("ai,bj->ijab", u, u) / d.a
-        F -= np.einsum("ai,bj->ijab", v, v) / np.pi
-    return F
-
-
 @dataclass
 class GLKernel:
-    """Transformation kernel on the triangle t <= x; zero above it."""
+    """Transformation kernel on the triangle t <= x; zero above it.
+
+    residual is the largest collocation residual over t_i <= x_j, condition
+    the 2-norm condition number of the last node's R x R system (solve_gl).
+    """
 
     grid: Grid
     K: np.ndarray  # (nx, nx, 2, 2), row x, column t
@@ -131,42 +121,53 @@ class GLKernel:
 
 
 def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
-    """Solve the kernel equation by per-x trapezoid collocation.
+    """Solve the kernel equation by trapezoid collocation in rank-R form.
 
-    For x = x_j the unknown row block K(x_j, t_i), i <= j, satisfies
-        K(x_j, .) (I + W F) = -F(x_j, .)
-    with W the trapezoid weights on [0, x_j]; each system is dense of
-    size 2(j + 1).
+    F(x, t) = U(x) C U(t)^T with R = 2(2N + 1) columns phi0(., lambda_n),
+    C = diag(1/a_n, -1/pi) over target and reference pairs, so the
+    collocated row is K(x_j, t_i) = G_j U(t_i)^T, i <= j, where
+        G_j (I + V_j C) = -U(x_j) C,   V_j = sum_i w_i U(x_i)^T U(x_i),
+    w the trapezoid weights on [0, x_j] (h/2 at both ends, zero at j = 0).
+    By Sylvester's determinant identity this is the dense 2(j + 1) system
+    of node j reduced to size R.  Blocks of nodes carry the running Gram
+    sum and are solved in one batched call each.
     """
     if series.trunc * 8 > grid.m:
         raise ContractError("truncation too large for the grid: need N <= m/8")
-    F = _F_grid(series, grid)
+    ns = series.ordered_indices()
+    lams = np.ravel([[series.target.items[n].lam, series.reference.items[n].lam] for n in ns])
+    c = np.ravel([[1.0 / series.target.items[n].a, -1.0 / np.pi] for n in ns])
+    UT = _phi0(lams, series.target.angles.alpha, grid.nodes[:, None]).transpose(1, 2, 0)
+    CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
+    R = c.size
     nx = grid.m + 1
-    h = grid.h
-    K = np.zeros_like(F)
-    worst_res = 0.0
-    worst_cond = 0.0
-    for j in range(nx):
-        ni = j + 1
-        w = np.full(ni, h)
-        w[0] = w[-1] = 0.5 * h
-        if ni == 1:
-            w[0] = 0.0
-        # blocks: rows s, cols t, each 2x2; unknown row vector of length 2ni
-        Fst = F[:ni, :ni]  # (s, t, 2, 2)
-        M = (w[:, None, None, None] * Fst).transpose(0, 2, 1, 3).reshape(2 * ni, 2 * ni)
-        M += np.eye(2 * ni)
-        rhs = F[j, :ni].transpose(1, 0, 2).reshape(2, 2 * ni)
+    # carry = I + C (h sum_{i < j0} U_i^T U_i - (h/2) U_0^T U_0) for the block at j0
+    carry = np.eye(R) - 0.5 * grid.h * (CUT[0] @ UT[0].T)
+    blk = max(8, 2**16 // R**2)
+    # row 0 sums a block with weight h; row 1 + j is node j's trapezoid row
+    W = grid.h * np.vstack([np.ones(blk), np.tri(blk) - 0.5 * np.eye(blk)])
+    GE = np.empty((2, nx, 2, R))  # G_j and the residual factor E_j
+    for j0 in range(0, nx, blk):
+        b = min(blk, nx - j0)
+        P = CUT[j0 : j0 + b] @ UT[j0 : j0 + b].transpose(0, 2, 1)
+        S = (W[: b + 1, :b] @ P.reshape(b, R * R)).reshape(b + 1, R, R)
+        A = S[1:]
+        A += carry  # I + C V_j = (I + V_j C)^T
+        carry += S[0]
         try:
-            sol = np.linalg.solve(M.T, -rhs.T).T
+            Gt = np.linalg.solve(A, -CUT[j0 : j0 + b])
         except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"kernel system singular at x index {j}") from exc
-        res = float(np.max(np.abs(sol @ M + rhs)))
-        worst_res = max(worst_res, res)
-        if j == nx - 1:
-            worst_cond = float(np.linalg.cond(M))
-        K[j, :ni] = sol.reshape(2, ni, 2).transpose(1, 0, 2)
-    return GLKernel(grid, K, worst_res, worst_cond)
+            raise SingularSystemError(
+                f"kernel system singular at an x index in {j0}..{j0 + b - 1}"
+            ) from exc
+        GE[0, j0 : j0 + b] = Gt.transpose(0, 2, 1)
+        GE[1, j0 : j0 + b] = (A @ Gt + CUT[j0 : j0 + b]).transpose(0, 2, 1)
+    Ut = UT.transpose(1, 0, 2).reshape(R, 2 * nx)  # columns U(t_i)^T
+    KE = (GE.reshape(4 * nx, R) @ Ut).reshape(2, nx, 2, nx, 2)
+    KE *= np.tri(nx)[:, None, :, None]  # keep t_i <= x_j
+    residual = float(np.max(np.abs(KE[1])))
+    K = KE[0].transpose(0, 2, 1, 3).copy()
+    return GLKernel(grid, K, residual, float(np.linalg.cond(A[-1])))
 
 
 def recover_potential(kernel: GLKernel) -> PotentialMatrix:
@@ -183,23 +184,20 @@ def transformed_solutions(
     """phi(x, lambda_n) = phi0 + int_0^x K(x, s) phi0(s, lambda_n) ds."""
     grid = kernel.grid
     xs = grid.nodes
-    alpha = series.target.angles.alpha
-    h = grid.h
     nx = xs.size
-    wts = np.full(nx, h)
-    wts[0] = wts[-1] = 0.5 * h
+    wts = grid.trapezoid_weights()
     # triangle weights: for row x_j only s <= j contribute, endpoint halved
     Kw = kernel.K * wts[None, :, None, None]
-    for j in range(1, nx - 1):
-        Kw[j, j] *= 0.5
+    inner = np.arange(1, nx - 1)
+    Kw[inner, inner] *= 0.5
     Kw[0, 0] = 0.0
-    out = {}
-    for n in series.ordered_indices():
-        lam = series.target.items[n].lam
-        u = _phi0(lam, alpha, xs)
-        add = np.einsum("xsab,bs->ax", Kw, u)
-        out[n] = Trajectory2(grid, u[0] + add[0], u[1] + add[1])
-    return out
+    ns = series.ordered_indices()
+    lams = np.array([series.target.items[n].lam for n in ns])
+    u = _phi0(lams[:, None], series.target.angles.alpha, xs[None, :])  # (2, len(ns), nx)
+    Kmat = Kw.transpose(0, 2, 1, 3).reshape(2 * nx, 2 * nx)  # rows (j, a), columns (s, b)
+    add = Kmat @ u.transpose(2, 0, 1).reshape(2 * nx, len(ns))  # rows (j, a), columns k
+    phi = u.transpose(1, 0, 2) + add.reshape(nx, 2, len(ns)).transpose(2, 1, 0)
+    return {n: Trajectory2(grid, phi[k, 0], phi[k, 1]) for k, n in enumerate(ns)}
 
 
 def reconstruct(
@@ -229,18 +227,17 @@ def reconstruct(
     w = grid.trapezoid_weights()
     beta = data.angles.beta
     check = sorted(range(-N, N + 1), key=abs)[: min(2 * N + 1, 21)]
-    for n in check:
+    Y = np.stack([np.concatenate([phis[n].y1, phis[n].y2]) for n in check])
+    gram = (Y * np.tile(w, 2)) @ Y.T
+    for i, n in enumerate(check):
         fn = phis[n]
-        an = data.items[n].a
         bres = fn.y1[-1] * np.cos(beta) + fn.y2[-1] * np.sin(beta)
         if abs(bres) > check_tol * max(1.0, np.max(np.abs(fn.y2))):
             raise InconsistentDataError(f"boundary check fails at n = {n}")
-        for m in check:
-            fm = phis[m]
-            ip = float(w @ (fn.y1 * fm.y1 + fn.y2 * fm.y2))
-            want = an if n == m else 0.0
-            if abs(ip - want) > check_tol * np.pi:
-                raise InconsistentDataError(
-                    f"orthogonality check fails at (n, m) = ({n}, {m})"
-                )
+        gram[i, i] -= data.items[n].a
+        bad = np.flatnonzero(np.abs(gram[i]) > check_tol * np.pi)
+        if bad.size:
+            raise InconsistentDataError(
+                f"orthogonality check fails at (n, m) = ({n}, {check[bad[0]]})"
+            )
     return pot, phis

@@ -38,7 +38,7 @@ from .core import (
     cumtrapz0,
 )
 from .cauchy import SolverConfig
-from .eigen import find_eigenvalues, norming_constants, normalized_eigenfunction
+from .eigen import _normed_trajectories, find_eigenvalues
 
 DEFAULT_WINDOW = 10
 
@@ -108,15 +108,11 @@ def theta(h_m: Trajectory2, t: float, x: float) -> float:
 
 
 def _eigendata(pot, alpha, indices, tol, cfg):
-    """lambda_n, a_n and raw normalized eigenfunction arrays for a set of n."""
+    """lambda_n, a_n and arrays h_n = phi_n/sqrt(a_n), all from one stored sweep."""
     lo, hi = min(indices), max(indices)
     data = find_eigenvalues(pot, alpha, 0.0, lo, hi, tol=tol, cfg=cfg)
-    data = norming_constants(pot, alpha, data, cfg=cfg)
-    hs = {}
-    for n in range(lo, hi + 1):
-        d = data.items[n]
-        h = normalized_eigenfunction(pot, alpha, d.lam, d.a, cfg=cfg)
-        hs[n] = np.stack([h.y1, h.y2])
+    data, Y = _normed_trajectories(pot, alpha, data, cfg)
+    hs = {n: Y[:, i] / np.sqrt(d.a) for i, (n, d) in enumerate(data.items.items())}
     return data, hs
 
 

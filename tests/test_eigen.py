@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracspec.core import Grid, PotentialMatrix, Trajectory2, inner_product
+from diracspec.core import Grid, InterlacingError, PotentialMatrix, Trajectory2, inner_product
 from diracspec.eigen import (
     char_function,
     eigen_gradient,
@@ -81,6 +81,25 @@ def test_constant_potential_oracle(zero_pot):
             else:
                 hi = mid
         assert data.items[n].lam == pytest.approx(0.5 * (lo + hi), abs=1e-8)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=InterlacingError,
+    reason="roots of constant q = 1.5 near +-2.5 sit between lattice brackets and are missed",
+)
+def test_constant_potential_window_is_certified():
+    g = Grid(0.0, math.pi, 1024)
+    pot = PotentialMatrix.from_samples(np.zeros(g.m + 1), np.full(g.m + 1, 1.5), g)
+    lams = find_eigenvalues(pot, 0.0, 0.0, -5, 5).lams()
+    # sign changes of chi between the half-lattice points -5.5 and 5.5; the
+    # mesh is finer than the lattice and has no node at a root
+    mesh = np.linspace(-5.5, 5.5, 1000)
+    chi = char_function(pot, 0.0, 0.0, mesh)
+    changes = int(np.count_nonzero(np.sign(chi[:-1]) != np.sign(chi[1:])))
+    assert lams.size == 11
+    assert np.all(np.diff(lams) > 0)
+    assert changes == lams.size
 
 
 def test_norming_zero_potential(zero_pot):

@@ -1,9 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diracspec.core import BoundaryAngles, ContractError, Grid
+from diracspec.core import BoundaryAngles, ContractError, Grid, SingularSystemError
 from diracspec.eigen import SpectralData, SpectralDatum
 from diracspec.glreconstruct import (
     GLSeriesKernel,
@@ -28,6 +29,89 @@ def _rank_one_data(N, m, t):
         for n in range(-N, N + 1)
     }
     return SpectralData(BoundaryAngles.make(0.0, 0.0), items)
+
+
+def _perturbed_data(alpha, beta, N, eps=0.05):
+    delta = (beta - alpha) / math.pi
+    items = {
+        n: SpectralDatum(
+            n, n + delta + eps / (1 + n * n), a=math.pi * (1 + 2 * eps / (1 + n * n))
+        )
+        for n in range(-N, N + 1)
+    }
+    return SpectralData(BoundaryAngles.make(alpha, beta), items)
+
+
+def _dense_solve_gl(series, grid):
+    """Reference collocation: one dense 2(j+1) system per node x_j.
+
+    K(x_j, .) (I + W F) = -F(x_j, .) with W the trapezoid weights on
+    [0, x_j], F sampled on all node pairs through build_F.
+    """
+    xs = grid.nodes
+    F = build_F(series, xs[:, None], xs[None, :]).transpose(2, 3, 0, 1)
+    nx = xs.size
+    K = np.zeros_like(F)
+    for j in range(nx):
+        ni = j + 1
+        w = np.full(ni, grid.h)
+        w[0] = w[-1] = 0.5 * grid.h
+        if ni == 1:
+            w[0] = 0.0
+        M = (w[:, None, None, None] * F[:ni, :ni]).transpose(0, 2, 1, 3).reshape(2 * ni, 2 * ni)
+        M += np.eye(2 * ni)
+        rhs = F[j, :ni].transpose(1, 0, 2).reshape(2, 2 * ni)
+        sol = np.linalg.solve(M.T, -rhs.T).T
+        K[j, :ni] = sol.reshape(2, ni, 2).transpose(1, 0, 2)
+    return K
+
+
+@pytest.mark.parametrize(
+    "data, N, m",
+    [
+        (_lattice_data(0.3, 0.1, 10), 10, 128),
+        (_rank_one_data(10, 1, 0.5), 10, 128),
+        (_perturbed_data(0.3, 0.1, 12), 12, 128),
+        (_perturbed_data(0.0, 0.0, 32), 32, 256),
+    ],
+    ids=["lattice", "rank_one", "perturbed_alpha", "N32_m256"],
+)
+def test_solve_gl_matches_dense_collocation(data, N, m):
+    grid = Grid(0.0, math.pi, m)
+    series = GLSeriesKernel.make(data, N)
+    kernel = solve_gl(series, grid)
+    K_ref = _dense_solve_gl(series, grid)
+    scale = np.max(np.abs(K_ref)) or 1.0  # lattice data: F = 0 exactly, so K = 0
+    assert np.max(np.abs(kernel.K - K_ref)) <= 1e-12 * scale
+    assert kernel.residual < 1e-12
+
+
+def test_solve_gl_memory_is_blocked():
+    grid = Grid(0.0, math.pi, 512)
+    series = GLSeriesKernel.make(_perturbed_data(0.0, 0.0, 60), 60)
+    tracemalloc.start()
+    try:
+        solve_gl(series, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense loop peaked near 40 MB; an unblocked stack of Grams needs ~240 MB
+    assert peak < 48e6
+
+
+def test_solve_gl_singular_batch(monkeypatch):
+    solve = np.linalg.solve
+
+    def zero_last_system(a, b):
+        a = a.copy()
+        a[-1] = 0.0
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", zero_last_system)
+    grid = Grid(0.0, math.pi, 128)
+    series = GLSeriesKernel.make(_perturbed_data(0.0, 0.0, 8), 8)
+    with pytest.raises(SingularSystemError):
+        solve_gl(series, grid)
 
 
 def test_F_vanishes_for_reference_data():

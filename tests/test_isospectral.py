@@ -7,6 +7,7 @@ from diracspec.core import Grid, PotentialMatrix
 from diracspec.eigen import find_eigenvalues, normalized_eigenfunction, norming_constants
 from diracspec.isospectral import (
     TSequence,
+    _eigendata,
     ell_sequence,
     omega_l1_distance,
     shift_finite_explicit,
@@ -33,6 +34,17 @@ def test_theta_zero_potential_midpoint():
     t = 1.0
     expect = 1.0 + (math.e - 1.0) / 2.0
     assert theta(h0, t, math.pi / 2) == pytest.approx(expect, rel=1e-10)
+
+
+def test_eigendata_matches_normalized_eigenfunction():
+    g = Grid(0.0, math.pi, 1024)
+    pot = PotentialMatrix(lambda x: 0.4 * np.cos(2 * x), lambda x: np.sin(x), g)
+    data, hs = _eigendata(pot, 0.3, range(-3, 4), 1e-10, None)
+    assert sorted(hs) == list(range(-3, 4))
+    for n, h in hs.items():
+        d = data.items[n]
+        ref = normalized_eigenfunction(pot, 0.3, d.lam, d.a)
+        assert np.max(np.abs(h - np.stack([ref.y1, ref.y2]))) <= 1e-12
 
 
 def test_zero_family_t0_is_zero():
