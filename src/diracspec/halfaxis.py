@@ -5,22 +5,23 @@ eigenvalues are sign(n) sqrt(2|n|) with Hermite-function eigenvectors; on
 the half axis with the boundary condition y1(0) = 0 the eigenvalues are
 2 sign(k) sqrt(|k|), with closed-form norming constants.  Starting from
 this model one can remove, add, or rescale finitely many spectral-data
-entries; each perturbation is a degenerate-kernel problem, so the new
-potential and eigenfunctions come out in closed form up to Cramer-type
-linear solves.  The module also evaluates the Weyl function m0 by
-renormalized backward shooting, recovers half-axis norming constants from
-two spectra via principal-value products, and checks the half-axis
-eigenvalue-function derivative -1/a_m.
+entries; each edit is a finite-rank change of the spectral function, so
+``finite_rank`` gives the new potential and eigenfunctions from sampled
+solutions, in one shot or one rank at a time.  The module also evaluates
+the Weyl function m0 by renormalized backward shooting, recovers half-axis
+norming constants from two spectra via principal-value products, and
+checks the half-axis eigenvalue-function derivative -1/a_m.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
+from . import finite_rank
 from .cauchy import SolverConfig, initial_state, propagate
 from .core import (
     ContractError,
@@ -28,9 +29,7 @@ from .core import (
     Grid,
     InterlacingError,
     PotentialMatrix,
-    SingularSystemError,
     Trajectory2,
-    cumtrapz0,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -207,15 +206,6 @@ class SurgeryResult:
     added: list[Trajectory2]
 
 
-def _cauchy_on_model(mu: float, grid: Grid, cfg: SolverConfig | None) -> np.ndarray:
-    """psi(x, mu) of the model with y(0) = (0, -1), shape (2, m+1)."""
-    cfg = cfg or SolverConfig()
-    pot = PotentialMatrix(None, lambda x: x, grid)
-    Y = propagate(pot, grid, np.array([mu]), initial_state(0.0),
-                  method=cfg.method, store=True)
-    return Y[:, 0, :]
-
-
 def surgery(
     base: ModelSpectrum,
     plan: SurgeryPlan,
@@ -227,182 +217,93 @@ def surgery(
 
     All edits enter one degenerate kernel sum_k gamma_k psi_k(x) psi_k^T(y)
     with gamma the jump of the spectral function; the kernel equation then
-    reduces to a K x K linear system per node.
+    reduces to the K x K system per node of ``finite_rank.solve``.  Removed
+    and rescaled states are the closed-form model eigenfunctions, added
+    ones the model's Cauchy solutions from one stored sweep.
     """
     if base.flavor != "half_bc0":
         raise ContractError("surgery starts from the half_bc0 model")
     plan.validate_against(base)
     xs = grid.nodes
-    h = grid.h
-    psis, gammas, eig_idx = [], [], []
-    for z in sorted(plan.removals):
-        psis.append(base.eigenfunction(z, xs))
-        gammas.append(-1.0 / base.norming[z])
-        eig_idx.append(z)
-    for n, b in plan.rescalings:
-        psis.append(base.eigenfunction(n, xs))
-        gammas.append(1.0 / b - 1.0 / base.norming[n])
-        eig_idx.append(n)
-    for mu, c in plan.additions:
-        psis.append(_cauchy_on_model(mu, grid, cfg))
-        gammas.append(1.0 / c)
-        eig_idx.append(None)
-
-    q0 = xs.copy()
     ret_idx = [n for n in range(-window, window + 1)
                if abs(n) <= base.window and n not in plan.removals]
-    if not psis:
-        pot = PotentialMatrix.from_samples(np.zeros_like(xs), q0, grid)
+    steps = plan_steps(base, plan)
+    if not steps:
+        pot = PotentialMatrix.from_samples(np.zeros_like(xs), xs.copy(), grid)
         retained = {n: Trajectory2(grid, *base.eigenfunction(n, xs)) for n in ret_idx}
         return SurgeryResult(pot, retained, [])
 
-    P = np.stack(psis)  # (K, 2, nx)
-    g = np.asarray(gammas)
-    K = len(psis)
-
-    def _split_prefix(k: int, other: np.ndarray, other_eig: int | None):
-        """int_0^x psi_k . other as (limit, variable part).
-
-        For two L2 eigenfunctions the prefix approaches a_k delta (by
-        orthogonality); returning the constant limit separately lets the
-        caller cancel it exactly, while the variable part is a backward
-        tail sum that keeps full relative accuracy down to the Gaussian
-        floor, where a forward prefix would be pure cancellation noise.
-        """
-        f = np.einsum("ax,ax->x", P[k], other)
-        if eig_idx[k] is None or other_eig is None:
-            return 0.0, cumtrapz0(f, h)
-        limit = base.norming[eig_idx[k]] if eig_idx[k] == other_eig else 0.0
-        tail = cumtrapz0(f[::-1], h)[::-1]
-        # one-term asymptotic for the piece beyond the grid, ~ f/(2x)
-        return limit, -(tail + f[-1] / (2.0 * xs[-1]))
-
-    def _prefix(k: int, other: np.ndarray, other_eig: int | None):
-        limit, var = _split_prefix(k, other, other_eig)
-        return limit + var
-
-    Vvar = np.empty((K, K, xs.size))
-    for k in range(K):
-        for l in range(K):
-            Vvar[k, l] = _split_prefix(k, P[l], eig_idx[l])[1]
-    # constant block formed exactly: removals cancel 1 + gamma*a to 0,
-    # rescalings give a/b, additions keep 1; eigenfunction off-diagonals
-    # vanish by orthogonality
-    diag0 = np.ones(K)
-    nrem = len(plan.removals)
-    diag0[:nrem] = 0.0
-    for i, (n, b) in enumerate(plan.rescalings):
-        diag0[nrem + i] = base.norming[n] / b
-    A0 = np.diag(diag0)
-    # row k of the collocation system carries its own jump gamma_k;
-    # V is symmetric, so only multi-entry plans distinguish row from column
-    A = A0[None] + (Vvar * g[:, None, None]).transpose(2, 0, 1)  # (nx, K, K)
-    sign, logdet = np.linalg.slogdet(A)
-    diag = np.einsum("xkk->xk", A)
-    # all diagonal entries are positive for a valid plan: removal rows
-    # carry the (positive) Gaussian tail, rescalings tend to a/b, and
-    # additions to 1 + gamma ||psi||^2.  The determinant legitimately
-    # decays with those tails, so degeneracy is judged relative to the
-    # diagonal product, not on an absolute scale.
-    if np.any(diag <= 0.0):
-        j = int(np.argmax(np.any(diag <= 0.0, axis=1)))
-        raise ContractError(f"nonpositive diagonal entry at x = {xs[j]:.6g}")
-    logdiag = np.sum(np.log(diag), axis=1)
-    bad = (sign == 0) | (logdet - logdiag < math.log(1e-12))
-    if np.any(bad):
-        j = int(np.argmax(bad))
-        raise SingularSystemError(f"kernel system singular near x = {xs[j]:.6g}")
-    if np.any(sign < 0):
-        j = int(np.argmax(sign < 0))
-        raise ContractError(f"negative determinant at x = {xs[j]:.6g}")
-    rhs = -(g[None, :, None] * P.transpose(2, 0, 1))  # (nx, K, 2)
-    G = np.linalg.solve(A, rhs)  # (nx, K, 2) rows g_k(x)
-    Gp = G.transpose(1, 2, 0)  # (K, 2, nx)
-    # G(x,x) = sum_k g_k psi_k^T; potential update p = -(M12+M21), q += M11-M22
-    m11 = np.einsum("kx,kx->x", Gp[:, 0], P[:, 0])
-    m12 = np.einsum("kx,kx->x", Gp[:, 0], P[:, 1])
-    m21 = np.einsum("kx,kx->x", Gp[:, 1], P[:, 0])
-    m22 = np.einsum("kx,kx->x", Gp[:, 1], P[:, 1])
-    pot = PotentialMatrix.from_samples(-(m12 + m21), q0 + m11 - m22, grid)
-
-    def _transform(v: np.ndarray, v_eig: int | None) -> Trajectory2:
-        inner = np.stack([_prefix(k, v, v_eig) for k in range(K)])
-        out = v + np.einsum("kax,kx->ax", Gp, inner)
-        return Trajectory2(grid, out[0], out[1])
-
-    retained = {n: _transform(base.eigenfunction(n, xs), n) for n in ret_idx}
-    added = [_transform(_cauchy_on_model(mu, grid, cfg), None)
-             for mu, _ in plan.additions]
+    nus, gamma, a = (np.array(v, dtype=float) for v in zip(*steps))
+    eig = np.where(np.isnan(a), np.nan, nus)
+    edited = sorted(plan.removals) + [n for n, _ in plan.rescalings]
+    cols = [base.eigenfunction(n, xs) for n in edited]
+    if plan.additions:
+        model = PotentialMatrix(None, lambda x: x, grid)
+        Y = propagate(model, grid, nus[len(edited):], initial_state(0.0),
+                      method=(cfg or SolverConfig()).method, store=True)
+        cols += list(Y.transpose(1, 0, 2))
+    psi = np.stack(cols)
+    G, dp, dq = finite_rank.solve(psi, gamma, grid, eig, a)
+    pot = PotentialMatrix.from_samples(dp, xs + dq, grid)
+    kept = np.stack([base.eigenfunction(n, xs) for n in ret_idx])
+    kept = finite_rank.transform(G, psi, kept, grid, eig, a, [base.lams[n] for n in ret_idx])
+    retained = {n: Trajectory2(grid, v[0], v[1]) for n, v in zip(ret_idx, kept)}
+    added = [Trajectory2(grid, v[0], v[1])
+             for v in finite_rank.transform(G, psi, psi[len(edited):], grid, eig, a)]
     return SurgeryResult(pot, retained, added)
 
 
-def plan_steps(base: ModelSpectrum, plan: SurgeryPlan) -> list[tuple[float, float, bool]]:
-    """(nu, gamma, vanishing) triples for the recurrent route.
+def plan_steps(base: ModelSpectrum, plan: SurgeryPlan) -> list[tuple[float, float, float]]:
+    """(nu, gamma, a) triples: removals, rescalings, then additions.
 
-    gamma is the jump of the spectral function at nu; vanishing marks the
-    removal steps, where 1 + gamma g(x) tends to zero at infinity and must
-    be evaluated from the decaying tail to keep precision.
+    gamma is the jump of the spectral function at nu.  a marks the
+    eigenvalue steps (removals and rescalings): it is the model's norming
+    constant at nu, whose square-integrable eigenfunction the step moves;
+    additions carry a = nan.
     """
-    steps = []
-    for mu, c in plan.additions:
-        steps.append((mu, 1.0 / c, False))
-    for z in sorted(plan.removals):
-        steps.append((base.lams[z], -1.0 / base.norming[z], True))
-    for n, b in plan.rescalings:
-        steps.append((base.lams[n], 1.0 / b - 1.0 / base.norming[n], False))
-    return steps
+    steps = [(base.lams[z], -1.0 / base.norming[z], base.norming[z])
+             for z in sorted(plan.removals)]
+    steps += [(base.lams[n], 1.0 / b - 1.0 / base.norming[n], base.norming[n])
+              for n, b in plan.rescalings]
+    return steps + [(mu, 1.0 / c, math.nan) for mu, c in plan.additions]
 
 
 def general_finite_perturbation(
     pot: PotentialMatrix,
     alpha: float,
-    steps: list[tuple[float, float, bool]],
+    steps: list[tuple[float, float, float]],
     cfg: SolverConfig | None = None,
 ) -> PotentialMatrix:
     """Recurrent rank-1 route for an arbitrary base operator.
 
-    Each step (nu, gamma, vanishing) adds gamma/(1+gamma g) times the
-    commutator update built from the current-stage Cauchy solution at nu,
-    then updates the remaining solutions by the same rank-1 transformation.
-    For vanishing steps (removals of square-integrable states) the
-    denominator limit is exactly zero, so 1 + gamma g is formed from the
-    backward tail of the decaying solution instead of the cancelling
-    forward prefix.
+    Steps (nu, gamma, a) come from ``plan_steps`` and are applied one at a
+    time by ``finite_rank.recurrent``.  An eigenvalue step (finite a, the
+    norming constant at nu) moves the square-integrable solution: it is
+    swept backward from x_max in the decaying direction and scaled to
+    initial_state(alpha) at 0, since a forward Cauchy solution picks up the
+    growing mode past the turning point.  Other steps use the forward
+    Cauchy solution.
     """
-    grid = pot.domain
-    h = grid.h
-    xs = grid.nodes
     if not steps:
         return pot
-    nus = np.asarray([s[0] for s in steps])
-    Y = propagate(pot, grid, nus, initial_state(alpha),
-                  method=(cfg or SolverConfig()).method, store=True)
-    phis = [Y[:, k, :].copy() for k in range(len(steps))]
-    dp = np.zeros_like(xs)
-    dq = np.zeros_like(xs)
-    for k, step in enumerate(steps):
-        nu, gamma = step[0], step[1]
-        vanishing = bool(step[2]) if len(step) > 2 else False
-        v = phis[k]
-        if gamma == 0.0:
-            continue
-        f = v[0] ** 2 + v[1] ** 2
-        if vanishing:
-            tail = cumtrapz0(f[::-1], h)[::-1] + f[-1] / (2.0 * xs[-1])
-            denom = gamma * -tail
-        else:
-            denom = 1.0 + gamma * cumtrapz0(f, h)
-        if np.any(denom <= 0.0):
-            j = int(np.argmax(denom <= 0.0))
-            raise ContractError(f"perturbation denominator vanishes at x = {xs[j]:.6g}")
-        dp += gamma / denom * 2.0 * v[0] * v[1]
-        dq += gamma / denom * (v[1] ** 2 - v[0] ** 2)
-        for j in range(k + 1, len(steps)):
-            inner = cumtrapz0(v[0] * phis[j][0] + v[1] * phis[j][1], h)
-            phis[j] = phis[j] - (gamma / denom * inner) * v
-    p0 = pot.sample_p(xs)
-    q0 = pot.sample_q(xs)
-    return PotentialMatrix.from_samples(p0 + dp, q0 + dq, grid)
+    grid = pot.domain
+    xs = grid.nodes
+    method = (cfg or SolverConfig()).method
+    nus, gamma, a = (np.array(v, dtype=float) for v in zip(*steps))
+    eig = np.where(np.isnan(a), np.nan, nus)
+    l2 = np.isfinite(eig)
+    psi = np.empty((len(steps), 2, xs.size))
+    if np.any(l2):
+        Y = propagate(pot, grid, nus[l2], _decaying_start(pot, nus[l2], grid),
+                      method=method, direction=-1, store=True)
+        y0 = Y[:, :, 0]
+        scale = (initial_state(alpha) @ y0) / np.sum(y0 * y0, axis=0)
+        psi[l2] = (Y * scale[:, None]).transpose(1, 0, 2)
+    if not np.all(l2):
+        Y = propagate(pot, grid, nus[~l2], initial_state(alpha), method=method, store=True)
+        psi[~l2] = Y.transpose(1, 0, 2)
+    dp, dq, _ = finite_rank.recurrent(psi, gamma, grid, eig, a)
+    return PotentialMatrix.from_samples(pot.sample_p(xs) + dp, pot.sample_q(xs) + dq, grid)
 
 
 def weyl_m0(
@@ -456,9 +357,8 @@ def weyl_m(pot, alpha: float, beta: float, nu: float, mu: float, **kw) -> comple
     return (m0 * math.cos(alpha) + math.sin(alpha)) / den
 
 
-def _chi_half(pot, alpha, lams, grid, method="magnus4"):
-    """Boundary defect of the decaying solution at x = 0, batched over lams."""
-    lams = np.asarray(lams, dtype=float)
+def _decaying_start(pot, lams, grid):
+    """Decaying direction of the frozen-coefficient system at x_max, (2, K)."""
     xe = grid.b
     pe = float(pot.sample_p(np.array([xe]))[0])
     qe = float(pot.sample_q(np.array([xe]))[0])
@@ -470,8 +370,14 @@ def _chi_half(pot, alpha, lams, grid, method="magnus4"):
         v = np.stack([lams + pe, qe + s])
     else:
         v = np.stack([s - qe, pe - lams])
-    v /= np.max(np.abs(v), axis=0)
-    u = propagate(pot, grid, lams, v, method=method, direction=-1, renorm=True)
+    return v / np.max(np.abs(v), axis=0)
+
+
+def _chi_half(pot, alpha, lams, grid, method="magnus4"):
+    """Boundary defect of the decaying solution at x = 0, batched over lams."""
+    lams = np.asarray(lams, dtype=float)
+    u = propagate(pot, grid, lams, _decaying_start(pot, lams, grid), method=method,
+                  direction=-1, renorm=True)
     return u[0] * math.cos(alpha) + u[1] * math.sin(alpha)
 
 

@@ -9,11 +9,13 @@ the explicit deformation
 
     theta_m(x, t) = 1 + (e^t - 1) * int_0^x |h_m|^2,
 
-with h_m the normalized eigenfunction.  Finite collections of shifts are
-realized two ways: recurrently (one shift at a time, carrying the
-transformed eigenfunctions along) and explicitly (a rank-k linear system
-per grid node).  Both routes are algebra on the same eigendata, so they
-agree to roundoff, which is itself a strong self-check of the formulas.
+with h_m the normalized eigenfunction.  A set of shifts is a finite-rank
+change of the spectral function with jumps e^{t_n} - 1 at the eigenvalues,
+so both of its routes are the ones of ``finite_rank``: recurrently (its
+rank-1 recurrence, one shift at a time, carrying the transformed
+eigenfunctions along) and explicitly (its one-shot rank-k system per grid
+node).  Both routes are algebra on the same eigendata, so they agree to
+roundoff, which is itself a strong self-check of the formulas.
 
 The matrix modulus used for L1 statements is the spectral norm; for the
 symmetric trace-free differences that occur here it equals
@@ -33,10 +35,10 @@ from .core import (
     DomainError,
     Grid,
     PotentialMatrix,
-    SingularSystemError,
     Trajectory2,
     cumtrapz0,
 )
+from . import finite_rank
 from .cauchy import SolverConfig
 from .eigen import _normed_trajectories, find_eigenvalues
 
@@ -116,31 +118,26 @@ def _eigendata(pot, alpha, indices, tol, cfg):
     return data, hs
 
 
-def _one_step(grid: Grid, hs: dict[int, np.ndarray], m: int, t: float):
-    """Apply one norming shift to sampled (dp, dq) increments and eigendata."""
-    h = hs[m]
-    emt = np.expm1(t)
-    dens = h[0] ** 2 + h[1] ** 2
-    th = 1.0 + emt * cumtrapz0(dens, grid.h)
-    dp = emt / th * (2.0 * h[0] * h[1])
-    dq = emt / th * (h[1] ** 2 - h[0] ** 2)
-    new_hs = {}
-    for n, hn in hs.items():
-        if n == m:
-            new_hs[n] = np.exp(0.5 * t) / th * hn
-        else:
-            cross = cumtrapz0(h[0] * hn[0] + h[1] * hn[1], grid.h)
-            new_hs[n] = hn - (emt * cross / th) * h
-    return dp, dq, new_hs
-
-
-def _package(pot, grid, dp, dq, hs) -> IsoResult:
+def _package(pot, dp, dq, hs, Y, shifts) -> IsoResult:
+    """Shifted potential and the transformed h_n (rows of Y) scaled by e^{t_n/2}."""
+    grid = pot.domain
     p_new = pot.sample_p(grid.nodes) + dp
     q_new = pot.sample_q(grid.nodes) + dq
     omega_t = PotentialMatrix.from_samples(p_new, q_new, grid)
+    hs = {n: y * np.exp(0.5 * shifts[n]) if n in shifts else y for n, y in zip(hs, Y)}
     eig = {n: Trajectory2(grid, h[0], h[1]) for n, h in hs.items()}
     ell = {n: _ell_of(h, n) for n, h in hs.items()}
     return IsoResult(omega_t, eig, ell)
+
+
+def _recurrent(pot, alpha, indices, shifts, order, tol, cfg) -> IsoResult:
+    """Apply the shifts {n: t_n} one at a time in the given order."""
+    grid = pot.domain
+    _, hs = _eigendata(pot, alpha, indices, tol, cfg)
+    H = np.stack([hs[n] for n in order]) if order else np.empty((0, 2, grid.m + 1))
+    emt = np.expm1([shifts[n] for n in order])
+    dp, dq, Y = finite_rank.recurrent(H, emt, grid, carry=np.stack(list(hs.values())))
+    return _package(pot, dp, dq, hs, Y, shifts)
 
 
 def _ell_of(h: np.ndarray, n: int) -> float:
@@ -167,11 +164,8 @@ def shift_one(
     cfg: SolverConfig | None = None,
 ) -> IsoResult:
     """Shift one norming constant: a_m -> a_m e^{-t}, spectrum frozen (beta = 0)."""
-    grid = pot.domain
     idx = range(min(-window, m), max(window, m) + 1)
-    _, hs = _eigendata(pot, alpha, idx, tol, cfg)
-    dp, dq, hs = _one_step(grid, hs, m, t)
-    return _package(pot, grid, dp, dq, hs)
+    return _recurrent(pot, alpha, idx, {m: t}, [m], tol, cfg)
 
 
 def shift_finite_recurrent(
@@ -183,17 +177,8 @@ def shift_finite_recurrent(
     cfg: SolverConfig | None = None,
 ) -> IsoResult:
     """Finite shift set applied one entry at a time in interleaved order."""
-    grid = pot.domain
-    sup = T.support()
-    reach = max([window] + [abs(n) for n in sup])
-    _, hs = _eigendata(pot, alpha, range(-reach, reach + 1), tol, cfg)
-    dp = np.zeros(grid.m + 1)
-    dq = np.zeros(grid.m + 1)
-    for m in T.interleaved():
-        step_p, step_q, hs = _one_step(grid, hs, m, T.entries[m])
-        dp += step_p
-        dq += step_q
-    return _package(pot, grid, dp, dq, hs)
+    reach = max([window] + [abs(n) for n in T.support()])
+    return _recurrent(pot, alpha, range(-reach, reach + 1), T.entries, T.interleaved(), tol, cfg)
 
 
 def shift_finite_explicit(
@@ -206,53 +191,22 @@ def shift_finite_explicit(
 ) -> IsoResult:
     """Finite shift set in one shot via the rank-k linear system per node.
 
-    Row j of the system reads
-        sum_k [delta_jk + (e^{t_j}-1) V_kj(x)] g_k(x) = -(e^{t_j}-1) h_j(x),
-    V_kj(x) = int_0^x h_k^T h_j; then
+    With gamma_k = e^{t_k} - 1 and columns h_k this is the one-shot solve
+    of finite_rank: row j reads
+        sum_k [delta_jk + gamma_j V_jk(x)] g_k(x) = -gamma_j h_j(x),
+    V_jk(x) = int_0^x h_j^T h_k; then
         Omega_T = Omega + G B - B G,  G(x) = sum_k g_k(x) h_k(x)^T.
     """
     grid = pot.domain
     sup = T.interleaved()
-    if not sup:
-        reach = window
-        _, hs = _eigendata(pot, alpha, range(-reach, reach + 1), tol, cfg)
-        return _package(pot, grid, np.zeros(grid.m + 1), np.zeros(grid.m + 1), hs)
     reach = max([window] + [abs(n) for n in sup])
     _, hs = _eigendata(pot, alpha, range(-reach, reach + 1), tol, cfg)
-
-    K = len(sup)
-    nodes = grid.m + 1
-    H = np.stack([hs[n] for n in sup])  # (K, 2, nodes)
-    emt = np.array([np.expm1(T.entries[n]) for n in sup])
-    # V[k, j, x] = int_0^x h_k . h_j
-    V = np.empty((K, K, nodes))
-    for i in range(K):
-        for j in range(K):
-            V[i, j] = cumtrapz0(
-                H[i, 0] * H[j, 0] + H[i, 1] * H[j, 1], grid.h
-            )
-    A = np.eye(K)[None, :, :] + np.transpose(V, (2, 1, 0)) * emt[None, :, None]
-    dets = np.linalg.det(A)
-    if np.any(np.abs(dets) < 1e-12):
-        xbad = grid.nodes[int(np.argmin(np.abs(dets)))]
-        raise SingularSystemError(f"shift system singular near x = {xbad:.6g}")
-    rhs = -(emt[None, :, None] * np.transpose(H, (2, 0, 1)))  # (nodes, K, 2)
-    g = np.linalg.solve(A, rhs)  # (nodes, K, 2)
-    g = np.transpose(g, (1, 2, 0))  # (K, 2, nodes)
-
-    dp = -np.sum(g[:, 0] * H[:, 1] + g[:, 1] * H[:, 0], axis=0)
-    dq = np.sum(g[:, 0] * H[:, 0] - g[:, 1] * H[:, 1], axis=0)
-
-    new_hs = {}
-    for n, hn in hs.items():
-        cross = np.stack(
-            [cumtrapz0(H[k, 0] * hn[0] + H[k, 1] * hn[1], grid.h) for k in range(K)]
-        )
-        hnew = hn + np.einsum("kcx,kx->cx", g, cross)
-        if n in T.entries:
-            hnew = hnew * np.exp(0.5 * T.entries[n])
-        new_hs[n] = hnew
-    return _package(pot, grid, dp, dq, new_hs)
+    Y = np.stack(list(hs.values()))
+    if not sup:
+        return _package(pot, np.zeros(grid.m + 1), np.zeros(grid.m + 1), hs, Y, {})
+    H = np.stack([hs[n] for n in sup])
+    G, dp, dq = finite_rank.solve(H, np.expm1([T.entries[n] for n in sup]), grid)
+    return _package(pot, dp, dq, hs, finite_rank.transform(G, H, Y, grid), T.entries)
 
 
 def ell_sequence(

@@ -120,6 +120,19 @@ def test_surgery_matches_recurrent_route():
             1e-5,
         ),
         (SurgeryPlan(removals=frozenset({0}), additions=((1.1, 1.0),)), 1e-4),
+        # excited states: the recurrent route needs decaying columns swept
+        # back from x_max, and eigen x eigen prefixes from the backward tail
+        (SurgeryPlan(removals=frozenset({1})), 1e-8),
+        (SurgeryPlan(rescalings=((-2, 2.0 * half_bc0_norming(2)),)), 1e-8),
+        (SurgeryPlan(removals=frozenset({0, 1})), 1e-3),
+        (
+            SurgeryPlan(
+                removals=frozenset({2}),
+                additions=((1.1, 1.0),),
+                rescalings=((-1, 1.7 * half_bc0_norming(1)),),
+            ),
+            1e-3,
+        ),
     ]
     for plan, tol in cases:
         res = surgery(base, plan, GRID12)
