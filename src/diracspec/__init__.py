@@ -24,7 +24,6 @@ from .core import (
 )
 from .cauchy import (
     FundamentalMatrix,
-    SolverConfig,
     fundamental_matrix,
     initial_state,
     propagate,

@@ -58,17 +58,6 @@ _HUGE = 1e100
 
 
 @dataclass(frozen=True)
-class SolverConfig:
-    """Integrator selection; 'magnus4' is the only method."""
-
-    method: str = "magnus4"
-
-    def __post_init__(self):
-        if self.method != "magnus4":
-            raise DiracError(f"unknown method {self.method!r}")
-
-
-@dataclass(frozen=True)
 class FundamentalMatrix:
     """Phi(x, lambda) per node; Phi(a) = identity, det Phi = 1 throughout."""
 
@@ -223,22 +212,21 @@ def propagate(
     grid: Grid,
     lam,
     y0,
-    method: str = "magnus4",
+    *,
     direction: int = +1,
     store: bool = False,
     renorm: bool = False,
 ):
     """Propagate y' = A(x, lambda) y across the grid for a batch of lambdas.
 
-    lam has shape (K,); y0 has shape (2,) or (2, K).  direction=+1 runs from
-    grid.a to grid.b, -1 the other way (starting from y(b) = y0).  With
-    store=True the full node history of shape (2, K, m+1) is returned, otherwise
-    the endpoint of shape (2, K).  renorm (endpoint sweeps only) rescales
-    products and state by positive factors whenever they grow past 1e100
-    (only ratios survive; used for stiff half-axis sweeps).
+    lam has shape (K,); y0 has shape (2,) or (2, K).  The mode switches are
+    keyword-only.  direction=+1 runs from grid.a to grid.b, -1 the other way
+    (starting from y(b) = y0).  With store=True the full node history of
+    shape (2, K, m+1) is returned, otherwise the endpoint of shape (2, K).
+    renorm (endpoint sweeps only) rescales products and state by positive
+    factors whenever they grow past 1e100 (only ratios survive; used for
+    stiff half-axis sweeps).
     """
-    if method != "magnus4":
-        raise DiracError(f"unknown method {method!r}")
     if store and renorm:
         raise DiracError("renorm applies to endpoint sweeps only")
     lam = np.atleast_1d(np.asarray(lam))
@@ -284,44 +272,30 @@ def propagate(
     return np.stack(y)
 
 
-def _grid_for(pot: PotentialMatrix, cfg: SolverConfig | None) -> tuple[Grid, str]:
-    return pot.domain, (cfg or SolverConfig()).method
-
-
 def initial_state(alpha: float) -> np.ndarray:
     """Cauchy data phi(0) = (sin alpha, -cos alpha)."""
     return np.array([np.sin(alpha), -np.cos(alpha)])
 
 
-def solve_cauchy(
-    pot: PotentialMatrix, lam, alpha: float, cfg: SolverConfig | None = None
-) -> Trajectory2:
+def solve_cauchy(pot: PotentialMatrix, lam, alpha: float) -> Trajectory2:
     """phi(x, lambda, alpha): solution with phi(a) = (sin alpha, -cos alpha)."""
-    grid, method = _grid_for(pot, cfg)
-    Y = propagate(pot, grid, lam, initial_state(alpha), method=method, store=True)
+    grid = pot.domain
+    Y = propagate(pot, grid, lam, initial_state(alpha), store=True)
     return Trajectory2(grid, Y[0, 0], Y[1, 0])
 
 
-def solve_terminal(
-    pot: PotentialMatrix, lam, beta: float, cfg: SolverConfig | None = None
-) -> Trajectory2:
+def solve_terminal(pot: PotentialMatrix, lam, beta: float) -> Trajectory2:
     """psi(x, lambda, beta): solution with psi(b) = (sin beta, -cos beta)."""
-    grid, method = _grid_for(pot, cfg)
-    Y = propagate(
-        pot, grid, lam, initial_state(beta), method=method, direction=-1, store=True
-    )
+    grid = pot.domain
+    Y = propagate(pot, grid, lam, initial_state(beta), direction=-1, store=True)
     return Trajectory2(grid, Y[0, 0], Y[1, 0])
 
 
-def fundamental_matrix(
-    pot: PotentialMatrix, lam, cfg: SolverConfig | None = None
-) -> FundamentalMatrix:
+def fundamental_matrix(pot: PotentialMatrix, lam) -> FundamentalMatrix:
     """Phi(x, lambda) with Phi(a) = E; columns are Cauchy solutions for e1, e2."""
-    grid, method = _grid_for(pot, cfg)
+    grid = pot.domain
     lam2 = np.array([lam, lam])
-    Y = propagate(
-        pot, grid, lam2, np.array([[1.0, 0.0], [0.0, 1.0]]), method=method, store=True
-    )
+    Y = propagate(pot, grid, lam2, np.array([[1.0, 0.0], [0.0, 1.0]]), store=True)
     ent = np.empty((grid.m + 1, 2, 2), dtype=Y.dtype)
     ent[:, 0, 0] = Y[0, 0]
     ent[:, 1, 0] = Y[1, 0]

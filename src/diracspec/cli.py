@@ -30,7 +30,7 @@ from .core import (
     read_potential_csv,
     write_potential_csv,
 )
-from .cauchy import SolverConfig, initial_state, propagate, solve_cauchy, wronskian
+from .cauchy import solve_cauchy, wronskian
 from .eigen import (
     SpectralData,
     evf,
@@ -159,12 +159,7 @@ def _cmd_isospectral(args) -> int:
             entries[int(m_str)] = float(t_str)
         except ValueError as exc:
             raise CliParseError(f"bad --shift entry {chunk!r}, expected m=t") from exc
-    T = TSequence(entries)
-    if len(entries) == 1:
-        ((m, t),) = entries.items()
-        result = shift_one(pot, args.alpha, m, t, tol=args.tol)
-    else:
-        result = shift_finite_recurrent(pot, args.alpha, T, tol=args.tol)
+    result = shift_finite_recurrent(pot, args.alpha, TSequence(entries), tol=args.tol)
     _write_potential(result.omega_t, args)
     return 0
 

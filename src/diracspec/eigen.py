@@ -32,7 +32,7 @@ from .core import (
     Trajectory2,
     inner_product,
 )
-from .cauchy import SolverConfig, initial_state, propagate, solve_terminal
+from .cauchy import initial_state, propagate
 
 BRACKET_HALFWIDTH = 0.45
 REFINE_WIDTH = 1e-12
@@ -118,17 +118,16 @@ class SpectralData:
             return SpectralData.from_dict(json.load(fh))
 
 
-def _chi_batch(pot, grid, method, lams, alpha, beta):
-    end = propagate(pot, grid, lams, initial_state(alpha), method=method)
+def _chi_batch(pot, grid, lams, alpha, beta):
+    end = propagate(pot, grid, lams, initial_state(alpha))
     return end[0] * np.cos(beta) + end[1] * np.sin(beta)
 
 
-def char_function(pot: PotentialMatrix, alpha, beta, lam, cfg: SolverConfig | None = None):
+def char_function(pot: PotentialMatrix, alpha, beta, lam):
     """chi(lambda) = phi_1(pi)cos(beta) + phi_2(pi)sin(beta); vectorized in lambda."""
-    cfg = cfg or SolverConfig()
     grid = pot.domain
     scalar = np.ndim(lam) == 0
-    vals = _chi_batch(pot, grid, cfg.method, np.atleast_1d(lam), alpha, beta)
+    vals = _chi_batch(pot, grid, np.atleast_1d(lam), alpha, beta)
     return vals[0] if scalar else vals
 
 
@@ -139,7 +138,6 @@ def find_eigenvalues(
     n_min: int,
     n_max: int,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ) -> SpectralData:
     """Eigenvalues lambda_n for n_min <= n <= n_max.
 
@@ -153,16 +151,14 @@ def find_eigenvalues(
         raise ContractError("n_min > n_max")
     if tol <= 0:
         raise ContractError("tol must be positive")
-    cfg = cfg or SolverConfig()
     grid = pot.domain
-    method = cfg.method
     target = min(tol, REFINE_WIDTH)
 
     ns = np.arange(n_min, n_max + 1)
     centers = ns + (beta - alpha) / np.pi
     lo = centers - BRACKET_HALFWIDTH
     hi = centers + BRACKET_HALFWIDTH
-    ends = _chi_batch(pot, grid, method, np.concatenate([lo, hi]), alpha, beta)
+    ends = _chi_batch(pot, grid, np.concatenate([lo, hi]), alpha, beta)
     K = len(ns)
     flo, fhi = ends[:K].copy(), ends[K:].copy()
 
@@ -172,14 +168,14 @@ def find_eigenvalues(
         nscan = 65
         offs = np.linspace(-0.5, 0.5, nscan)
         mesh = (centers[bad, None] + offs[None, :]).ravel()
-        fv = _chi_batch(pot, grid, method, mesh, alpha, beta).reshape(bad.size, nscan)
+        fv = _chi_batch(pot, grid, mesh, alpha, beta).reshape(bad.size, nscan)
         for row, j in enumerate(bad):
             sc = np.nonzero(np.sign(fv[row, :-1]) != np.sign(fv[row, 1:]))[0]
             o, vals = offs, fv[row]
             if sc.size == 0:
                 # widen once to the full neighboring gaps
                 o = np.linspace(-1.0, 1.0, 257)
-                vals = _chi_batch(pot, grid, method, centers[j] + o, alpha, beta)
+                vals = _chi_batch(pot, grid, centers[j] + o, alpha, beta)
                 sc = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
             if sc.size == 0:
                 raise BracketFailure(int(ns[j]), float(lo[j]), float(hi[j]))
@@ -193,7 +189,7 @@ def find_eigenvalues(
     # phase 1: a few bisections to localize each root well inside its bracket
     for _ in range(10):
         mid = 0.5 * (lo + hi)
-        fm = _chi_batch(pot, grid, method, mid, alpha, beta)
+        fm = _chi_batch(pot, grid, mid, alpha, beta)
         left = np.sign(fm) == np.sign(flo)
         lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
         hi, fhi = np.where(left, hi, mid), np.where(left, fhi, fm)
@@ -216,7 +212,7 @@ def find_eigenvalues(
         if it % 6 == 5:
             bad |= np.ones_like(bad)
         x3 = np.where(bad, 0.5 * (gmin + gmax), x3)
-        f3 = _chi_batch(pot, grid, method, x3, alpha, beta)
+        f3 = _chi_batch(pot, grid, x3, alpha, beta)
         crossed = np.sign(f3) != np.sign(f2[i])
         denom = f2[i] + f3
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -234,25 +230,26 @@ def find_eigenvalues(
     return SpectralData(BoundaryAngles.make(alpha, beta), items)
 
 
-def _trajectories(pot, lams, alpha, cfg):
-    """Cauchy solutions phi(., lambda_n, alpha) for a batch, shape (2, K, m+1)."""
-    cfg = cfg or SolverConfig()
+def _trajectories(pot, lams, angle, direction=+1):
+    """Solutions at lambda_n for a batch, shape (2, K, m+1).
+
+    direction=+1 gives the Cauchy solutions phi(., lambda_n, angle) from
+    x = 0, direction=-1 the terminal ones u with u(pi) = (sin angle, -cos angle).
+    """
     return propagate(
-        pot, pot.domain, np.asarray(lams, dtype=float), initial_state(alpha),
-        method=cfg.method, store=True,
+        pot, pot.domain, np.asarray(lams, dtype=float), initial_state(angle),
+        direction=direction, store=True,
     )
 
 
-def norming_constants(
-    pot: PotentialMatrix, alpha: float, data: SpectralData, cfg: SolverConfig | None = None
-) -> SpectralData:
+def norming_constants(pot: PotentialMatrix, alpha: float, data: SpectralData) -> SpectralData:
     """Attach a_n = integral of |phi(., lambda_n, alpha)|^2 over [0, pi]."""
-    return _normed_trajectories(pot, alpha, data, cfg)[0]
+    return _normed_trajectories(pot, alpha, data)[0]
 
 
-def _normed_trajectories(pot, alpha, data, cfg):
+def _normed_trajectories(pot, alpha, data):
     """norming_constants(...) and the swept phi(., lambda_n), shape (2, K, m+1)."""
-    Y = _trajectories(pot, data.lams(), alpha, cfg)
+    Y = _trajectories(pot, data.lams(), alpha)
     w = pot.domain.trapezoid_weights()
     a = (np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2) @ w
     if np.any(a <= 0):
@@ -265,12 +262,12 @@ def _normed_trajectories(pot, alpha, data, cfg):
 
 
 def normalized_eigenfunction(
-    pot: PotentialMatrix, alpha: float, lam: float, a: float, cfg: SolverConfig | None = None
+    pot: PotentialMatrix, alpha: float, lam: float, a: float
 ) -> Trajectory2:
     """h_n = phi(., lambda_n, alpha) / sqrt(a_n), unit L2 norm."""
     if a <= 0:
         raise ContractError("norming constant must be positive")
-    Y = _trajectories(pot, [lam], alpha, cfg)
+    Y = _trajectories(pot, [lam], alpha)
     s = 1.0 / np.sqrt(a)
     return Trajectory2(pot.domain, s * Y[0, 0], s * Y[1, 0])
 
@@ -280,28 +277,31 @@ def similarity_coefficients(
     alpha: float,
     beta: float,
     data: SpectralData,
-    cfg: SolverConfig | None = None,
 ) -> SpectralData:
     """Attach c_n (with u_n = c_n phi_n) and b_n = ||u_n||^2.
 
-    c_n is read off at the node where |phi_n| is largest, which stays away
-    from zeros of either component.
+    phi_n and u_n come from one forward and one backward stored sweep over
+    the whole batch.  c_n is read off at the node where |phi_n| is largest,
+    which stays away from zeros of either component.
     """
-    out = {}
+    lams = data.lams()
+    phi = _trajectories(pot, lams, alpha)
+    u = _trajectories(pot, lams, beta, direction=-1)
     w = pot.domain.trapezoid_weights()
-    for n, d in sorted(data.items.items()):
-        phi = _trajectories(pot, [d.lam], alpha, cfg)[:, 0, :]
-        u = solve_terminal(pot, d.lam, beta, cfg)
-        mag = phi[0] ** 2 + phi[1] ** 2
-        k = int(np.argmax(mag))
-        if mag[k] < 1e-16:
-            raise ContractError(f"eigenfunction numerically null at n = {n}")
-        c = float((u.y1[k] * phi[0, k] + u.y2[k] * phi[1, k]) / mag[k])
-        b = float((np.abs(u.y1) ** 2 + np.abs(u.y2) ** 2) @ w)
-        a = d.a
-        if a is None:
-            a = float((np.abs(phi[0]) ** 2 + np.abs(phi[1]) ** 2) @ w)
-        out[n] = replace(d, a=a, b=b, c=c)
+    mag = phi[0] ** 2 + phi[1] ** 2
+    rows = np.arange(lams.size)
+    k = np.argmax(mag, axis=1)
+    peak = mag[rows, k]
+    null = np.flatnonzero(peak < 1e-16)
+    if null.size:
+        raise ContractError(f"eigenfunction numerically null at n = {data.ns()[null[0]]}")
+    c = (u[0, rows, k] * phi[0, rows, k] + u[1, rows, k] * phi[1, rows, k]) / peak
+    b = (np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2) @ w
+    a = (np.abs(phi[0]) ** 2 + np.abs(phi[1]) ** 2) @ w
+    out = {
+        n: replace(d, a=float(a[i]) if d.a is None else d.a, b=float(b[i]), c=float(c[i]))
+        for i, (n, d) in enumerate(data.items.items())
+    }
     return SpectralData(data.angles, out)
 
 
@@ -311,7 +311,6 @@ def eigen_gradient(
     beta: float,
     n: int,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ):
     """Gradient of lambda_n with respect to (alpha, beta, p, q).
 
@@ -319,15 +318,14 @@ def eigen_gradient(
     d_beta = |h_n(pi)|^2, d_p = h1^2 - h2^2 and d_q = 2 h1 h2 as
     GridFunctions of the normalized eigenfunction h_n.
     """
-    data = find_eigenvalues(pot, alpha, beta, n, n, tol=tol, cfg=cfg)
-    data = norming_constants(pot, alpha, data, cfg=cfg)
-    d = data.items[n]
-    h = normalized_eigenfunction(pot, alpha, d.lam, d.a, cfg=cfg)
-    d_alpha = -float(h.y1[0] ** 2 + h.y2[0] ** 2)
-    d_beta = float(h.y1[-1] ** 2 + h.y2[-1] ** 2)
+    data = find_eigenvalues(pot, alpha, beta, n, n, tol=tol)
+    data, Y = _normed_trajectories(pot, alpha, data)
+    h1, h2 = (1.0 / np.sqrt(data.items[n].a)) * Y[:, 0]
+    d_alpha = -float(h1[0] ** 2 + h2[0] ** 2)
+    d_beta = float(h1[-1] ** 2 + h2[-1] ** 2)
     g = pot.domain
-    d_p = GridFunction(g, h.y1**2 - h.y2**2)
-    d_q = GridFunction(g, 2.0 * h.y1 * h.y2)
+    d_p = GridFunction(g, h1**2 - h2**2)
+    d_q = GridFunction(g, 2.0 * h1 * h2)
     return d_alpha, d_beta, d_p, d_q
 
 
@@ -346,7 +344,6 @@ def evf(
     gamma: float,
     beta: float = 0.0,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ) -> EvfSample:
     """Eigenvalue function gamma -> lambda_m(alpha), gamma = alpha - pi*m.
 
@@ -354,7 +351,7 @@ def evf(
     decreasing in gamma and its derivative is -1/a_m(alpha).
     """
     alpha, m = BoundaryAngles.reduce(gamma)
-    data = find_eigenvalues(pot, alpha, beta, m, m, tol=tol, cfg=cfg)
+    data = find_eigenvalues(pot, alpha, beta, m, m, tol=tol)
     return EvfSample(gamma=gamma, value=data.items[m].lam, alpha=alpha, m=m)
 
 

@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BoundaryAngles,
     ContractError,
     Grid,
     InconsistentDataError,
@@ -42,6 +41,9 @@ from .core import (
     Trajectory2,
 )
 from .eigen import SpectralData, SpectralDatum
+
+# relative tolerance of the closing orthogonality and boundary checks
+CHECK_TOL = 5e-2
 
 
 def _phi0(lam, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -204,13 +206,12 @@ def reconstruct(
     data: SpectralData,
     grid: Grid,
     N: int,
-    check_tol: float = 5e-2,
 ) -> tuple[PotentialMatrix, dict[int, Trajectory2]]:
     """Full recovery pipeline with the closing consistency checks.
 
     Builds the series kernel, solves for K, recovers Omega, rebuilds the
     eigenfunction family, and verifies (phi_n, phi_m) = a_n delta_nm and
-    the terminal boundary condition, both within check_tol relative scale.
+    the terminal boundary condition, both within CHECK_TOL relative scale.
     """
     delta = (data.angles.beta - data.angles.alpha) / np.pi
     for n in range(-N, N + 1):
@@ -232,10 +233,10 @@ def reconstruct(
     for i, n in enumerate(check):
         fn = phis[n]
         bres = fn.y1[-1] * np.cos(beta) + fn.y2[-1] * np.sin(beta)
-        if abs(bres) > check_tol * max(1.0, np.max(np.abs(fn.y2))):
+        if abs(bres) > CHECK_TOL * max(1.0, np.max(np.abs(fn.y2))):
             raise InconsistentDataError(f"boundary check fails at n = {n}")
         gram[i, i] -= data.items[n].a
-        bad = np.flatnonzero(np.abs(gram[i]) > check_tol * np.pi)
+        bad = np.flatnonzero(np.abs(gram[i]) > CHECK_TOL * np.pi)
         if bad.size:
             raise InconsistentDataError(
                 f"orthogonality check fails at (n, m) = ({n}, {check[bad[0]]})"

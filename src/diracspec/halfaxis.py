@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import finite_rank
-from .cauchy import SolverConfig, initial_state, propagate
+from .cauchy import initial_state, propagate
 from .core import (
     ContractError,
     DomainError,
@@ -33,6 +33,10 @@ from .core import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
+# intervals of the lambda mesh scanned for sign changes by halfaxis_eigenvalues
+SCAN_MESH = 240
+# half-step of the central difference in evf_halfaxis_derivative
+EVF_DELTA = 1e-3
 
 
 def linear_potential(x_max: float, m: int = 4096) -> PotentialMatrix:
@@ -211,7 +215,6 @@ def surgery(
     plan: SurgeryPlan,
     grid: Grid,
     window: int = 8,
-    cfg: SolverConfig | None = None,
 ) -> SurgeryResult:
     """Apply a finite spectral edit to the half-axis model in one shot.
 
@@ -239,8 +242,7 @@ def surgery(
     cols = [base.eigenfunction(n, xs) for n in edited]
     if plan.additions:
         model = PotentialMatrix(None, lambda x: x, grid)
-        Y = propagate(model, grid, nus[len(edited):], initial_state(0.0),
-                      method=(cfg or SolverConfig()).method, store=True)
+        Y = propagate(model, grid, nus[len(edited):], initial_state(0.0), store=True)
         cols += list(Y.transpose(1, 0, 2))
     psi = np.stack(cols)
     G, dp, dq = finite_rank.solve(psi, gamma, grid, eig, a)
@@ -272,7 +274,6 @@ def general_finite_perturbation(
     pot: PotentialMatrix,
     alpha: float,
     steps: list[tuple[float, float, float]],
-    cfg: SolverConfig | None = None,
 ) -> PotentialMatrix:
     """Recurrent rank-1 route for an arbitrary base operator.
 
@@ -288,19 +289,18 @@ def general_finite_perturbation(
         return pot
     grid = pot.domain
     xs = grid.nodes
-    method = (cfg or SolverConfig()).method
     nus, gamma, a = (np.array(v, dtype=float) for v in zip(*steps))
     eig = np.where(np.isnan(a), np.nan, nus)
     l2 = np.isfinite(eig)
     psi = np.empty((len(steps), 2, xs.size))
     if np.any(l2):
         Y = propagate(pot, grid, nus[l2], _decaying_start(pot, nus[l2], grid),
-                      method=method, direction=-1, store=True)
+                      direction=-1, store=True)
         y0 = Y[:, :, 0]
         scale = (initial_state(alpha) @ y0) / np.sum(y0 * y0, axis=0)
         psi[l2] = (Y * scale[:, None]).transpose(1, 0, 2)
     if not np.all(l2):
-        Y = propagate(pot, grid, nus[~l2], initial_state(alpha), method=method, store=True)
+        Y = propagate(pot, grid, nus[~l2], initial_state(alpha), store=True)
         psi[~l2] = Y.transpose(1, 0, 2)
     dp, dq, _ = finite_rank.recurrent(psi, gamma, grid, eig, a)
     return PotentialMatrix.from_samples(pot.sample_p(xs) + dp, pot.sample_q(xs) + dq, grid)
@@ -312,7 +312,6 @@ def weyl_m0(
     mu: float,
     x_max: float | None = None,
     m: int = 4096,
-    cfg: SolverConfig | None = None,
 ) -> complex:
     """m0(nu + i mu) = u1(0)/u2(0) for the decaying half-axis solution.
 
@@ -326,20 +325,8 @@ def weyl_m0(
     if x_max is None:
         x_max = suggest_x_max(abs(lam))
     grid = Grid(0.0, x_max, m)
-    pe = float(pot.sample_p(np.array([x_max]))[0])
-    qe = float(pot.sample_q(np.array([x_max]))[0])
-    s = np.sqrt(complex(pe * pe + qe * qe) - lam * lam)
-    if s.real < 0:
-        s = -s
-    # two equivalent null-vector forms; pick the one that stays away from
-    # cancellation depending on the sign of q at the cut
-    if qe >= 0:
-        v = np.array([[lam + pe], [qe + s]], dtype=complex)
-    else:
-        v = np.array([[s - qe], [pe - lam]], dtype=complex)
-    v /= np.max(np.abs(v))
-    method = (cfg or SolverConfig()).method
-    u = propagate(pot, grid, np.array([lam]), v, method=method,
+    lams = np.array([lam])
+    u = propagate(pot, grid, lams, _decaying_start(pot, lams, grid),
                   direction=-1, renorm=True)
     # the renormalised state carries an arbitrary positive scale, so judge u2
     # against |u|; the negated test also rejects a zero or non-finite state
@@ -358,14 +345,21 @@ def weyl_m(pot, alpha: float, beta: float, nu: float, mu: float, **kw) -> comple
 
 
 def _decaying_start(pot, lams, grid):
-    """Decaying direction of the frozen-coefficient system at x_max, (2, K)."""
+    """Decaying direction of the frozen-coefficient system at x_max, (2, K).
+
+    The decay rate is s = sqrt(p^2 + q^2 - lambda^2) at the cut.  A real
+    lambda needs s^2 > 0 (x_max past the classical turning point); for a
+    complex lambda the principal root already has Re s >= 0.
+    """
     xe = grid.b
     pe = float(pot.sample_p(np.array([xe]))[0])
     qe = float(pot.sample_q(np.array([xe]))[0])
     s2 = pe * pe + qe * qe - lams * lams
-    if np.any(s2 <= 0):
+    if not np.iscomplexobj(s2) and np.any(s2 <= 0):
         raise DomainError("x_max below the classical turning point")
     s = np.sqrt(s2)
+    # two equivalent null-vector forms; pick the one that stays away from
+    # cancellation depending on the sign of q at the cut
     if qe >= 0:
         v = np.stack([lams + pe, qe + s])
     else:
@@ -373,10 +367,10 @@ def _decaying_start(pot, lams, grid):
     return v / np.max(np.abs(v), axis=0)
 
 
-def _chi_half(pot, alpha, lams, grid, method="magnus4"):
+def _chi_half(pot, alpha, lams, grid):
     """Boundary defect of the decaying solution at x = 0, batched over lams."""
     lams = np.asarray(lams, dtype=float)
-    u = propagate(pot, grid, lams, _decaying_start(pot, lams, grid), method=method,
+    u = propagate(pot, grid, lams, _decaying_start(pot, lams, grid),
                   direction=-1, renorm=True)
     return u[0] * math.cos(alpha) + u[1] * math.sin(alpha)
 
@@ -388,19 +382,18 @@ def halfaxis_eigenvalues(
     lam_hi: float,
     x_max: float | None = None,
     m: int = 4096,
-    mesh: int = 240,
     tol: float = 1e-10,
 ) -> list[float]:
     """All truncated-domain eigenvalues in [lam_lo, lam_hi], ascending.
 
-    Scans the boundary defect on a fine mesh and bisects each sign change;
-    the truncation replaces the integrability condition by the decaying
-    right boundary direction.
+    Scans the boundary defect on a mesh of SCAN_MESH intervals and bisects
+    each sign change; the truncation replaces the integrability condition by
+    the decaying right boundary direction.
     """
     if x_max is None:
         x_max = suggest_x_max(max(abs(lam_lo), abs(lam_hi)))
     grid = Grid(0.0, x_max, m)
-    xs = np.linspace(lam_lo, lam_hi, mesh + 1)
+    xs = np.linspace(lam_lo, lam_hi, SCAN_MESH + 1)
     vals = _chi_half(pot, alpha, xs, grid)
     exact = [float(x) for x in xs[vals == 0.0]]
     sc = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
@@ -485,14 +478,13 @@ def evf_halfaxis(
 def evf_halfaxis_derivative(
     pot: PotentialMatrix,
     gamma: float,
-    delta: float = 1e-3,
     x_max: float = 14.0,
     m: int = 4096,
 ) -> float:
-    """Central difference of the half-axis eigenvalue function at gamma."""
-    hi = evf_halfaxis(pot, gamma + delta, x_max=x_max, m=m)
-    lo = evf_halfaxis(pot, gamma - delta, x_max=x_max, m=m)
-    return (hi - lo) / (2.0 * delta)
+    """Central difference, half-step EVF_DELTA, of the half-axis eigenvalue function."""
+    hi = evf_halfaxis(pot, gamma + EVF_DELTA, x_max=x_max, m=m)
+    lo = evf_halfaxis(pot, gamma - EVF_DELTA, x_max=x_max, m=m)
+    return (hi - lo) / (2.0 * EVF_DELTA)
 
 
 def _check_alternating(la: dict[int, float], lb: dict[int, float], N: int) -> None:

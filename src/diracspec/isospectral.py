@@ -39,7 +39,6 @@ from .core import (
     cumtrapz0,
 )
 from . import finite_rank
-from .cauchy import SolverConfig
 from .eigen import _normed_trajectories, find_eigenvalues
 
 DEFAULT_WINDOW = 10
@@ -109,11 +108,11 @@ def theta(h_m: Trajectory2, t: float, x: float) -> float:
     return float(1.0 + np.expm1(t) * np.interp(x, g.nodes, pref))
 
 
-def _eigendata(pot, alpha, indices, tol, cfg):
+def _eigendata(pot, alpha, indices, tol):
     """lambda_n, a_n and arrays h_n = phi_n/sqrt(a_n), all from one stored sweep."""
     lo, hi = min(indices), max(indices)
-    data = find_eigenvalues(pot, alpha, 0.0, lo, hi, tol=tol, cfg=cfg)
-    data, Y = _normed_trajectories(pot, alpha, data, cfg)
+    data = find_eigenvalues(pot, alpha, 0.0, lo, hi, tol=tol)
+    data, Y = _normed_trajectories(pot, alpha, data)
     hs = {n: Y[:, i] / np.sqrt(d.a) for i, (n, d) in enumerate(data.items.items())}
     return data, hs
 
@@ -130,10 +129,10 @@ def _package(pot, dp, dq, hs, Y, shifts) -> IsoResult:
     return IsoResult(omega_t, eig, ell)
 
 
-def _recurrent(pot, alpha, indices, shifts, order, tol, cfg) -> IsoResult:
+def _recurrent(pot, alpha, indices, shifts, order, tol) -> IsoResult:
     """Apply the shifts {n: t_n} one at a time in the given order."""
     grid = pot.domain
-    _, hs = _eigendata(pot, alpha, indices, tol, cfg)
+    _, hs = _eigendata(pot, alpha, indices, tol)
     H = np.stack([hs[n] for n in order]) if order else np.empty((0, 2, grid.m + 1))
     emt = np.expm1([shifts[n] for n in order])
     dp, dq, Y = finite_rank.recurrent(H, emt, grid, carry=np.stack(list(hs.values())))
@@ -161,11 +160,10 @@ def shift_one(
     t: float,
     window: int = DEFAULT_WINDOW,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ) -> IsoResult:
     """Shift one norming constant: a_m -> a_m e^{-t}, spectrum frozen (beta = 0)."""
     idx = range(min(-window, m), max(window, m) + 1)
-    return _recurrent(pot, alpha, idx, {m: t}, [m], tol, cfg)
+    return _recurrent(pot, alpha, idx, {m: t}, [m], tol)
 
 
 def shift_finite_recurrent(
@@ -174,11 +172,10 @@ def shift_finite_recurrent(
     T: TSequence,
     window: int = DEFAULT_WINDOW,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ) -> IsoResult:
     """Finite shift set applied one entry at a time in interleaved order."""
     reach = max([window] + [abs(n) for n in T.support()])
-    return _recurrent(pot, alpha, range(-reach, reach + 1), T.entries, T.interleaved(), tol, cfg)
+    return _recurrent(pot, alpha, range(-reach, reach + 1), T.entries, T.interleaved(), tol)
 
 
 def shift_finite_explicit(
@@ -187,7 +184,6 @@ def shift_finite_explicit(
     T: TSequence,
     window: int = DEFAULT_WINDOW,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ) -> IsoResult:
     """Finite shift set in one shot via the rank-k linear system per node.
 
@@ -200,7 +196,7 @@ def shift_finite_explicit(
     grid = pot.domain
     sup = T.interleaved()
     reach = max([window] + [abs(n) for n in sup])
-    _, hs = _eigendata(pot, alpha, range(-reach, reach + 1), tol, cfg)
+    _, hs = _eigendata(pot, alpha, range(-reach, reach + 1), tol)
     Y = np.stack(list(hs.values()))
     if not sup:
         return _package(pot, np.zeros(grid.m + 1), np.zeros(grid.m + 1), hs, Y, {})
@@ -214,10 +210,9 @@ def ell_sequence(
     alpha: float,
     window: int = DEFAULT_WINDOW,
     tol: float = 1e-10,
-    cfg: SolverConfig | None = None,
 ) -> dict[int, float]:
     """ell_n = ln(|h_n(pi)| / |h_n(0)|) over |n| <= window."""
-    _, hs = _eigendata(pot, alpha, range(-window, window + 1), tol, cfg)
+    _, hs = _eigendata(pot, alpha, range(-window, window + 1), tol)
     return {n: _ell_of(h, n) for n, h in sorted(hs.items())}
 
 

@@ -29,7 +29,7 @@ from .core import (
     PoleError,
     PotentialMatrix,
 )
-from .cauchy import SolverConfig, propagate, initial_state
+from .cauchy import propagate, initial_state
 from .eigen import SpectralData, SpectralDatum, find_eigenvalues
 
 DEFAULT_TRUNC = 200
@@ -122,18 +122,16 @@ def weyl_m(
     eps: float,
     beta: float,
     lam: complex,
-    cfg: SolverConfig | None = None,
 ) -> WeylSample:
     """m(lambda) = (u1(0)cos a + u2(0)sin a)/(u1(0)cos e + u2(0)sin e).
 
     u is the terminal solution with u(pi) = (sin beta, -cos beta); zeros of
     m sit at the alpha-spectrum, poles at the eps-spectrum.
     """
-    cfg = cfg or SolverConfig()
     grid = pot.domain
     u0 = propagate(
         pot, grid, np.array([complex(lam)]), initial_state(beta).astype(complex),
-        method=cfg.method, direction=-1,
+        direction=-1,
     )[:, 0]
     num = u0[0] * np.cos(alpha) + u0[1] * np.sin(alpha)
     den = u0[0] * np.cos(eps) + u0[1] * np.sin(eps)
@@ -143,7 +141,7 @@ def weyl_m(
         if abs(complex(lam).imag) < 1.0:
             guess = int(np.round(complex(lam).real - (beta - eps) / np.pi))
             try:
-                data = find_eigenvalues(pot, eps, beta, guess, guess, cfg=cfg)
+                data = find_eigenvalues(pot, eps, beta, guess, guess)
                 nearest = data.items[guess].lam
             except Exception:
                 nearest = None

@@ -5,7 +5,6 @@ import pytest
 
 from diracspec.core import Grid, PotentialMatrix, Trajectory2, cumtrapz0
 from diracspec.cauchy import (
-    SolverConfig,
     fundamental_matrix,
     initial_state,
     propagate,
@@ -251,12 +250,15 @@ def test_renorm_working_set_is_bounded():
 
 
 def test_removed_options_rejected():
+    """One integrator and no selector; the mode switches are keyword-only."""
+    import diracspec
     from diracspec.core import DiracError
 
     g, pot = _sin_pot(64)
-    with pytest.raises(DiracError):
-        SolverConfig(method="rk4")
-    with pytest.raises(DiracError):
+    assert not hasattr(diracspec, "SolverConfig")
+    with pytest.raises(TypeError):
         propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), method="rk4")
+    with pytest.raises(TypeError):
+        propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), -1)
     with pytest.raises(DiracError):
         propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), store=True, renorm=True)

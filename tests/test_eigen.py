@@ -172,16 +172,61 @@ def test_similarity_sin(sin_pot, sin_data_40):
 
 
 def test_similarity_on_potential_grid():
-    """Every routine runs on pot.domain; the old regridding option is gone."""
-    from diracspec.cauchy import SolverConfig
-
-    with pytest.raises(TypeError):
-        SolverConfig(m=512)
+    """Every routine runs on pot.domain; the old solver-config option is gone."""
     pot = PotentialMatrix(None, lambda x: np.sin(x), Grid(0.0, math.pi, 1024))
     data = norming_constants(pot, 0.0, find_eigenvalues(pot, 0.0, 0.0, 0, 0))
-    out = similarity_coefficients(pot, 0.0, 0.0, data, cfg=SolverConfig())
+    with pytest.raises(TypeError):
+        similarity_coefficients(pot, 0.0, 0.0, data, cfg=None)
+    out = similarity_coefficients(pot, 0.0, 0.0, data)
     d = out.items[0]
     assert d.c**2 * d.a == pytest.approx(d.b, rel=1e-8)
+
+
+def _count_stored_sweeps(monkeypatch):
+    import diracspec.eigen as eigen_mod
+
+    calls = []
+    original = eigen_mod.propagate
+
+    def counting(*args, **kwargs):
+        if kwargs.get("store"):
+            calls.append(np.size(args[2]))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(eigen_mod, "propagate", counting)
+    return calls
+
+
+def test_similarity_one_sweep_per_direction(monkeypatch):
+    """Five indices take one forward and one backward stored sweep in all."""
+    pot = PotentialMatrix(lambda x: 0.4 * np.cos(2 * x), lambda x: np.sin(x), Grid(0.0, math.pi, 1024))
+    data = norming_constants(pot, 0.3, find_eigenvalues(pot, 0.3, 0.1, -2, 2))
+    per_index = {
+        n: similarity_coefficients(pot, 0.3, 0.1, type(data)(data.angles, {n: d})).items[n]
+        for n, d in data.items.items()
+    }
+    calls = _count_stored_sweeps(monkeypatch)
+    out = similarity_coefficients(pot, 0.3, 0.1, data)
+    assert calls == [5, 5]
+    for n, d in out.items.items():
+        ref = per_index[n]
+        for k in ("a", "b", "c"):
+            assert getattr(d, k) == pytest.approx(getattr(ref, k), rel=1e-12, abs=0.0)
+
+
+def test_gradient_one_stored_sweep(monkeypatch, sin_pot):
+    n = 2
+    data = norming_constants(sin_pot, 0.2, find_eigenvalues(sin_pot, 0.2, 0.1, n, n))
+    d = data.items[n]
+    h = normalized_eigenfunction(sin_pot, 0.2, d.lam, d.a)
+    calls = _count_stored_sweeps(monkeypatch)
+    d_alpha, d_beta, d_p, d_q = eigen_gradient(sin_pot, 0.2, 0.1, n)
+    assert calls == [1]
+    scale = float(np.max(h.y1**2 + h.y2**2))
+    assert d_alpha == pytest.approx(-(h.y1[0] ** 2 + h.y2[0] ** 2), rel=1e-12)
+    assert d_beta == pytest.approx(h.y1[-1] ** 2 + h.y2[-1] ** 2, rel=1e-12)
+    assert np.max(np.abs(d_p.values - (h.y1**2 - h.y2**2))) <= 1e-12 * scale
+    assert np.max(np.abs(d_q.values - 2.0 * h.y1 * h.y2)) <= 1e-12 * scale
 
 
 def test_gradient_zero_potential(zero_pot):

@@ -175,6 +175,14 @@ def test_weyl_m0_rejects_broken_sweep():
         weyl_m0(pot, 0.0, 50.0, x_max=14.0)
 
 
+def test_weyl_m0_past_turning_point():
+    """Complex lambda needs no turning point: nu = 13 lies beyond q(x_max) = 12."""
+    from diracspec.halfaxis import weyl_m0
+
+    val = weyl_m0(linear_potential(12.0, 2048), 13.0, 1.0, x_max=12.0, m=2048)
+    assert abs(val - (0.000451106406500692 + 1.00291063797197j)) <= 1e-12
+
+
 def test_two_spectra_norming_model():
     la = model_spectrum("half_bc0", 420).lams
     lb = model_spectrum("half_bc_pi2", 420).lams

@@ -39,7 +39,7 @@ def test_theta_zero_potential_midpoint():
 def test_eigendata_matches_normalized_eigenfunction():
     g = Grid(0.0, math.pi, 1024)
     pot = PotentialMatrix(lambda x: 0.4 * np.cos(2 * x), lambda x: np.sin(x), g)
-    data, hs = _eigendata(pot, 0.3, range(-3, 4), 1e-10, None)
+    data, hs = _eigendata(pot, 0.3, range(-3, 4), 1e-10)
     assert sorted(hs) == list(range(-3, 4))
     for n, h in hs.items():
         d = data.items[n]
