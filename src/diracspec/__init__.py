@@ -90,7 +90,6 @@ from .halfaxis import (
     two_spectra_constant,
     weyl_m0,
 )
-from .halfaxis import weyl_m as weyl_m_halfaxis
 from .twospectra import weyl_m
 
 __version__ = "0.1.0"

@@ -33,6 +33,12 @@ product being associative, combined without a per-step loop:
   caller of a stiff half-axis sweep reads -- survive without overflow;
 * a stored sweep takes the inclusive prefix products of each block
   (Hillis-Steele rounds) and applies them to the state, giving every node.
+
+An endpoint sweep can also lift the angle Theta of y = r(sin Theta, -cos Theta).
+A step exp(M), M = ((a, b), (c, -a)), turns every ray by mu = (c - b)/2 within
++-|S| = hypot(a, (b + c)/2); for M = P + lambda*Q, mu is mu(P) + lambda*h and
+|S| <= |S(P)| + |lambda| |S(Q)|.  With blocks cut so these bounds sum to at
+most pi/2, one arctan2 per block and lambda fixes the block's whole turn.
 """
 
 from __future__ import annotations
@@ -122,6 +128,21 @@ def _step_coeffs(pot: PotentialMatrix, grid: Grid):
         _COEFF_CACHE.pop(next(iter(_COEFF_CACHE)))
     _COEFF_CACHE[key] = (pot, data)
     return data
+
+
+def _turn_data(P, Q):
+    """Per-step rotation rates mu(P), mu(Q) and turn bounds |mu(P)| + |S(P)|, |S(Q)|."""
+    mu_p = 0.5 * (P[2] - P[1])
+    mu_q = 0.5 * (Q[2] - Q[1])
+    d_p = np.abs(mu_p) + np.hypot(P[0], 0.5 * (P[1] + P[2]))
+    d_q = np.hypot(Q[0], 0.5 * (Q[1] + Q[2]))
+    return mu_p, mu_q, d_p, d_q
+
+
+def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
+    """(W0, W1) with |Theta(b) - Theta(a) - lambda*(b - a)| <= W0 + |lambda| W1 at real lambda."""
+    mu_p, mu_q, d_p, d_q = _turn_data(*_step_coeffs(pot, grid))
+    return float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu_q) - (grid.b - grid.a)))
 
 
 def _expm_tracefree(a, b, c):
@@ -216,6 +237,7 @@ def propagate(
     direction: int = +1,
     store: bool = False,
     renorm: bool = False,
+    angle: bool = False,
 ):
     """Propagate y' = A(x, lambda) y across the grid for a batch of lambdas.
 
@@ -225,13 +247,17 @@ def propagate(
     shape (2, K, m+1) is returned, otherwise the endpoint of shape (2, K).
     renorm (endpoint sweeps only) rescales products and state by positive
     factors whenever they grow past 1e100 (only ratios survive; used for
-    stiff half-axis sweeps).
+    stiff half-axis sweeps).  angle (plain real endpoint sweeps only) also
+    returns the lifted angle Theta of y = r(sin Theta, -cos Theta), shape
+    (K,), continuous along the sweep from the principal value of y0's angle.
     """
     if store and renorm:
         raise DiracError("renorm applies to endpoint sweeps only")
     lam = np.atleast_1d(np.asarray(lam))
     K = lam.shape[0]
     cplx = np.iscomplexobj(lam) or np.iscomplexobj(np.asarray(y0))
+    if angle and (store or renorm or cplx):
+        raise DiracError("the angle lift needs a plain endpoint sweep at real lambda")
     dtype = complex if cplx else float
     y0 = np.asarray(y0, dtype=dtype)
     if y0.ndim == 1:
@@ -241,16 +267,20 @@ def propagate(
     P, Q = _step_coeffs(pot, grid)
     sign = 1.0 if direction > 0 else -1.0
     block = max(8, _BLOCK // max(K, 1))
-    starts = range(0, m, block)
+    if angle:
+        mu_p, mu_q, d_p, d_q = _turn_data(P, Q)
+        blocks = _turn_blocks(d_p + np.max(np.abs(lam), initial=0.0) * d_q, block)
+        theta, turns = np.arctan2(y[0], -y[1]), np.zeros(K)
+    else:
+        blocks = [(s, min(s + block, m)) for s in range(0, m, block)]
     if direction < 0:
-        starts = reversed(starts)
+        blocks = blocks[::-1]
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
         node0 = 0 if direction > 0 else m
         Y[0, :, node0], Y[1, :, node0] = y
 
-    for s in starts:
-        e = min(s + block, m)
+    for s, e in blocks:
         a, b, c = sign * (P[:, s:e, None] + Q[:, s:e, None] * lam)
         E = _expm_tracefree(a, b, c)
         if direction < 0:
@@ -259,6 +289,12 @@ def propagate(
             y = _apply(_tree_product(E, renorm), y)
             if renorm:
                 y = _rescale(y)
+            if angle:
+                # the block turns every ray by rot within +-pi/2: lift exactly
+                rot = sign * (np.sum(mu_p[s:e]) + lam * np.sum(mu_q[s:e]))
+                new = np.arctan2(y[0], -y[1])
+                turns += np.round((rot - (new - theta)) / (2.0 * np.pi))
+                theta = new
             continue
         y1, y2 = _apply(_prefix_products(E), y)
         if direction > 0:
@@ -269,7 +305,23 @@ def propagate(
 
     if store:
         return Y
+    if angle:
+        return np.stack(y), theta + 2.0 * np.pi * turns
     return np.stack(y)
+
+
+def _turn_blocks(d, block):
+    """Blocks of at most `block` steps whose turn bounds d sum to at most pi/2."""
+    cum = np.concatenate([[0.0], np.cumsum(d)])
+    ends = np.searchsorted(cum, cum + 0.5 * np.pi, side="right") - 1
+    blocks, s = [], 0
+    while s < d.size:
+        e = min(s + block, int(ends[s]))
+        if e <= s:
+            raise DiracError("one step turns rays by more than pi/2; refine the grid")
+        blocks.append((s, e))
+        s = e
+    return blocks
 
 
 def initial_state(alpha: float) -> np.ndarray:

@@ -40,11 +40,11 @@ class GridMismatchError(DiracError):
 
 
 class BracketFailure(DiracError):
-    """No sign change found when bracketing an eigenvalue."""
+    """An eigenvalue was not refined to tolerance inside its certified bracket."""
 
     def __init__(self, n: int, lo: float, hi: float):
         self.n = n
-        super().__init__(f"no sign change for index n={n} in [{lo:.6g}, {hi:.6g}]")
+        super().__init__(f"no certified root for index n={n} in [{lo:.6g}, {hi:.6g}]")
 
 
 class InterlacingError(DiracError):
@@ -163,17 +163,6 @@ class PotentialMatrix:
         vals = np.concatenate([self.sample_p(np.array([x])), self.sample_q(np.array([x]))])
         if not np.all(np.isfinite(vals)):
             raise DomainError(f"non-finite potential sample at x={x}")
-
-    def omega_at(self, x: np.ndarray) -> np.ndarray:
-        """Omega(x) as an array of 2x2 matrices, shape (..., 2, 2)."""
-        p = self.sample_p(x)
-        q = self.sample_q(x)
-        out = np.empty(np.shape(p) + (2, 2))
-        out[..., 0, 0] = p
-        out[..., 0, 1] = q
-        out[..., 1, 0] = q
-        out[..., 1, 1] = -p
-        return out
 
     @staticmethod
     def zero(grid: Grid | None = None) -> "PotentialMatrix":

@@ -6,11 +6,14 @@ For boundary angles (alpha, beta) the eigenvalues are the real zeros of
                 + phi_2(pi, lambda, alpha) sin(beta),
 
 where phi is the Cauchy solution with phi(0) = (sin alpha, -cos alpha).
-Zeros are simple and the n-th one lies near the lattice point
-n + (beta - alpha)/pi, which drives the bracketing strategy below.  All
-lambda sweeps are evaluated in one vectorized propagation per iteration,
-so refining the whole index window costs the same number of ODE passes
-as refining one root.
+They are found and indexed by the Pruefer angle: with phi = r(sin Theta,
+-cos Theta), Theta(0) = alpha, chi = r(pi) sin(Theta(pi) - beta) and
+Theta(pi, lambda) is strictly increasing, so lambda_n is the unique root of
+f_n = Theta(pi, lambda) - beta - n pi (Levitan & Sargsjan 1991, ch. 7;
+Pryce 1993).  On the zero potential Theta(pi) = alpha + lambda pi, so the
+root is the lattice point n + (beta - alpha)/pi; cauchy.turn_bound gives a
+certified bracket of half-width W/pi around it for every n.  Each iteration
+is one lifted endpoint sweep over the batch of unconverged roots.
 """
 
 from __future__ import annotations
@@ -32,10 +35,11 @@ from .core import (
     Trajectory2,
     inner_product,
 )
-from .cauchy import initial_state, propagate
+from .cauchy import initial_state, propagate, turn_bound
 
-BRACKET_HALFWIDTH = 0.45
 REFINE_WIDTH = 1e-12
+# iteration cap of the root engine: every 8th iteration halves each bracket
+MAX_ITER = 200
 
 
 @dataclass(frozen=True)
@@ -118,17 +122,19 @@ class SpectralData:
             return SpectralData.from_dict(json.load(fh))
 
 
-def _chi_batch(pot, grid, lams, alpha, beta):
-    end = propagate(pot, grid, lams, initial_state(alpha))
-    return end[0] * np.cos(beta) + end[1] * np.sin(beta)
-
-
 def char_function(pot: PotentialMatrix, alpha, beta, lam):
     """chi(lambda) = phi_1(pi)cos(beta) + phi_2(pi)sin(beta); vectorized in lambda."""
-    grid = pot.domain
-    scalar = np.ndim(lam) == 0
-    vals = _chi_batch(pot, grid, np.atleast_1d(lam), alpha, beta)
-    return vals[0] if scalar else vals
+    end = propagate(pot, pot.domain, np.atleast_1d(lam), initial_state(alpha))
+    vals = end[0] * np.cos(beta) + end[1] * np.sin(beta)
+    return vals[0] if np.ndim(lam) == 0 else vals
+
+
+def _prufer_residual(pot, grid, lams, alpha, beta, ns):
+    """f_n(lambda) = Theta(pi, lambda) - beta - n pi, with Theta(0) = alpha."""
+    _, theta = propagate(pot, grid, lams, initial_state(alpha), angle=True)
+    # the sweep starts Theta at the principal angle of phi(0); move it to alpha
+    theta += alpha - np.arctan2(np.sin(alpha), np.cos(alpha))
+    return theta - beta - ns * np.pi
 
 
 def find_eigenvalues(
@@ -141,92 +147,52 @@ def find_eigenvalues(
 ) -> SpectralData:
     """Eigenvalues lambda_n for n_min <= n <= n_max.
 
-    Each root is bracketed in [n + (beta-alpha)/pi +- 0.45]; if chi does not
-    change sign there, the full inter-lattice gap is scanned on a fine mesh
-    before giving up.  Refinement is inverse quadratic interpolation with a
-    bisection safeguard, stopping once every bracket is narrower than
-    min(tol, 1e-12).  All brackets are refined simultaneously in one batch.
+    lambda_n is the unique root of the increasing function
+    f_n = Theta(pi, lambda) - beta - n pi, which lies within W/pi of the
+    lattice point n + (beta - alpha)/pi (see the module docstring).  Each
+    root starts at its lattice point, takes one step of slope pi and then
+    secant steps; a step that leaves the known bracket, and every 8th
+    iteration, bisects it instead.  A root is done once its step or its
+    bracket is below min(tol, 1e-12); converged roots leave the batch.
     """
     if n_min > n_max:
         raise ContractError("n_min > n_max")
     if tol <= 0:
         raise ContractError("tol must be positive")
     grid = pot.domain
-    target = min(tol, REFINE_WIDTH)
-
     ns = np.arange(n_min, n_max + 1)
-    centers = ns + (beta - alpha) / np.pi
-    lo = centers - BRACKET_HALFWIDTH
-    hi = centers + BRACKET_HALFWIDTH
-    ends = _chi_batch(pot, grid, np.concatenate([lo, hi]), alpha, beta)
-    K = len(ns)
-    flo, fhi = ends[:K].copy(), ends[K:].copy()
-
-    bad = np.nonzero(np.sign(flo) == np.sign(fhi))[0]
-    if bad.size:
-        # fallback: scan the whole gap between neighboring lattice points
-        nscan = 65
-        offs = np.linspace(-0.5, 0.5, nscan)
-        mesh = (centers[bad, None] + offs[None, :]).ravel()
-        fv = _chi_batch(pot, grid, mesh, alpha, beta).reshape(bad.size, nscan)
-        for row, j in enumerate(bad):
-            sc = np.nonzero(np.sign(fv[row, :-1]) != np.sign(fv[row, 1:]))[0]
-            o, vals = offs, fv[row]
-            if sc.size == 0:
-                # widen once to the full neighboring gaps
-                o = np.linspace(-1.0, 1.0, 257)
-                vals = _chi_batch(pot, grid, centers[j] + o, alpha, beta)
-                sc = np.nonzero(np.sign(vals[:-1]) != np.sign(vals[1:]))[0]
-            if sc.size == 0:
-                raise BracketFailure(int(ns[j]), float(lo[j]), float(hi[j]))
-            # take the sign change closest to the lattice point
-            k = sc[np.argmin(np.abs(o[sc] + 0.5 * (o[1] - o[0])))]
-            lo[j] = centers[j] + o[k]
-            hi[j] = centers[j] + o[k + 1]
-            flo[j] = vals[k]
-            fhi[j] = vals[k + 1]
-
-    # phase 1: a few bisections to localize each root well inside its bracket
-    for _ in range(10):
-        mid = 0.5 * (lo + hi)
-        fm = _chi_batch(pot, grid, mid, alpha, beta)
-        left = np.sign(fm) == np.sign(flo)
-        lo, flo = np.where(left, mid, lo), np.where(left, fm, flo)
-        hi, fhi = np.where(left, hi, mid), np.where(left, fhi, fm)
-
-    # phase 2: Pegasus-type modified regula falsi (superlinear, bracketing);
-    # converged roots drop out of the evaluation batch
-    x1, f1 = lo.copy(), flo.copy()
-    x2, f2 = hi.copy(), fhi.copy()
-    last_step = np.full(K, np.inf)
-    for it in range(60):
-        act = (np.abs(x2 - x1) >= target) & (last_step >= target)
-        if not np.any(act):
+    x = ns + (beta - alpha) / np.pi
+    # certified bracket x +- W/pi: W bounds |Theta(pi) - alpha - lambda pi| for
+    # every |lambda| <= max|x| + W/pi, and turn_bound is affine in that bound
+    w0, w1 = turn_bound(pot, grid)
+    if w1 >= np.pi:
+        raise DiracError("grid too coarse to bound the Pruefer angle")
+    half = (w0 + np.max(np.abs(x)) * w1) / (np.pi - w1)
+    lo, hi = x - half, x + half
+    # no tolerance below the spacing of floating-point numbers near the root
+    target = np.maximum(min(tol, REFINE_WIDTH), 4.0 * np.spacing(np.abs(x) + half))
+    xp, fp = np.zeros_like(x), np.zeros_like(x)
+    act = np.arange(ns.size)
+    for it in range(MAX_ITER):
+        xi = x[act]
+        f = _prufer_residual(pot, grid, xi, alpha, beta, ns[act])
+        lo[act] = np.where(f <= 0.0, xi, lo[act])
+        hi[act] = np.where(f >= 0.0, xi, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            slope = np.pi if it == 0 else (f - fp[act]) / (xi - xp[act])
+            new = xi - f / slope
+        a, b = lo[act], hi[act]
+        bad = ~np.isfinite(new) | (new < a) | (new > b) | (it % 8 == 7)
+        new = np.where(bad, 0.5 * (a + b), new)
+        xp[act], fp[act], x[act] = xi, f, new
+        t = target[act]
+        act = act[(np.abs(new - xi) >= t) & (b - a >= t)]
+        if act.size == 0:
             break
-        i = np.nonzero(act)[0]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x3 = x2[i] - f2[i] * (x2[i] - x1[i]) / (f2[i] - f1[i])
-        gmin = np.minimum(x1[i], x2[i])
-        gmax = np.maximum(x1[i], x2[i])
-        bad = ~np.isfinite(x3) | (x3 <= gmin) | (x3 >= gmax)
-        if it % 6 == 5:
-            bad |= np.ones_like(bad)
-        x3 = np.where(bad, 0.5 * (gmin + gmax), x3)
-        f3 = _chi_batch(pot, grid, x3, alpha, beta)
-        crossed = np.sign(f3) != np.sign(f2[i])
-        denom = f2[i] + f3
-        with np.errstate(divide="ignore", invalid="ignore"):
-            shrunk = np.where(denom != 0.0, f1[i] * f2[i] / denom, 0.5 * f1[i])
-        x1[i] = np.where(crossed, x2[i], x1[i])
-        f1[i] = np.where(crossed, f2[i], shrunk)
-        last_step[i] = np.abs(x3 - x2[i])
-        x2[i], f2[i] = x3, f3
     else:
-        if np.any((np.abs(x2 - x1) >= tol) & (last_step >= tol)):
-            raise DiracError("eigenvalue refinement did not reach target width")
-
-    roots = np.where(np.abs(f1) <= np.abs(f2), x1, x2)
-    items = {int(n): SpectralDatum(int(n), float(r)) for n, r in zip(ns, roots)}
+        j = act[0]
+        raise BracketFailure(int(ns[j]), float(lo[j]), float(hi[j]))
+    items = {int(n): SpectralDatum(int(n), float(r)) for n, r in zip(ns, x)}
     return SpectralData(BoundaryAngles.make(alpha, beta), items)
 
 

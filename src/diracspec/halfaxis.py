@@ -335,15 +335,6 @@ def weyl_m0(
     return complex(u[0, 0] / u[1, 0])
 
 
-def weyl_m(pot, alpha: float, beta: float, nu: float, mu: float, **kw) -> complex:
-    """m(lambda) built from m0 and the two boundary angles."""
-    m0 = weyl_m0(pot, nu, mu, **kw)
-    den = m0 * math.cos(beta) + math.sin(beta)
-    if abs(den) < 1e-14:
-        raise DomainError("terminal-angle combination degenerates")
-    return (m0 * math.cos(alpha) + math.sin(alpha)) / den
-
-
 def _decaying_start(pot, lams, grid):
     """Decaying direction of the frozen-coefficient system at x_max, (2, K).
 

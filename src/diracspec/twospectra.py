@@ -24,6 +24,7 @@ import numpy as np
 
 from .core import (
     ContractError,
+    DiracError,
     InconsistentDataError,
     InterlacingError,
     PoleError,
@@ -143,7 +144,7 @@ def weyl_m(
             try:
                 data = find_eigenvalues(pot, eps, beta, guess, guess)
                 nearest = data.items[guess].lam
-            except Exception:
+            except DiracError:
                 nearest = None
         raise PoleError(lam, nearest)
     return WeylSample(lam=complex(lam), m_value=complex(num / den))

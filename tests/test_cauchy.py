@@ -262,3 +262,33 @@ def test_removed_options_rejected():
         propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), -1)
     with pytest.raises(DiracError):
         propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), store=True, renorm=True)
+
+
+@pytest.mark.parametrize("m", [256, 1024, 4096])
+def test_lifted_angle_matches_unwrapped_stored_sweep(m):
+    """Theta of y = r(sin Theta, -cos Theta) at the far end against np.unwrap of every node."""
+    g = Grid(0.0, math.pi, m)
+    lam = np.linspace(-m / 8, m / 8, 33)
+    for s in (0.0, 3.0, 6.0):
+        pot = PotentialMatrix(lambda x: 0.5 * s * np.cos(2 * x), lambda x: s * np.sin(x) + s, g)
+        for alpha in (-1.2, 0.3, 1.5):
+            for direction in (1, -1):
+                y0 = initial_state(alpha)
+                end, theta = propagate(pot, g, lam, y0, direction=direction, angle=True)
+                Y = propagate(pot, g, lam, y0, direction=direction, store=True)
+                nodes = np.arctan2(Y[0], -Y[1])[:, :: direction]
+                np.testing.assert_allclose(theta, np.unwrap(nodes, axis=1)[:, -1], rtol=0, atol=1e-10)
+                plain = propagate(pot, g, lam, y0, direction=direction)
+                assert np.max(np.abs(end - plain)) <= 1e-13 * np.max(np.abs(plain))
+
+
+def test_angle_lift_only_on_real_endpoint_sweeps():
+    from diracspec.core import DiracError
+
+    g, pot = _sin_pot(64)
+    y0 = np.array([0.0, -1.0])
+    for kw in ({"store": True}, {"renorm": True}):
+        with pytest.raises(DiracError):
+            propagate(pot, g, np.array([1.0]), y0, angle=True, **kw)
+    with pytest.raises(DiracError):
+        propagate(pot, g, np.array([1.0 + 1j]), y0, angle=True)

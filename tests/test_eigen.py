@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracspec.core import Grid, InterlacingError, PotentialMatrix, Trajectory2, inner_product
+from diracspec.core import Grid, PotentialMatrix, Trajectory2, inner_product
 from diracspec.eigen import (
     char_function,
     eigen_gradient,
@@ -83,11 +83,6 @@ def test_constant_potential_oracle(zero_pot):
         assert data.items[n].lam == pytest.approx(0.5 * (lo + hi), abs=1e-8)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    raises=InterlacingError,
-    reason="roots of constant q = 1.5 near +-2.5 sit between lattice brackets and are missed",
-)
 def test_constant_potential_window_is_certified():
     g = Grid(0.0, math.pi, 1024)
     pot = PotentialMatrix.from_samples(np.zeros(g.m + 1), np.full(g.m + 1, 1.5), g)
