@@ -34,7 +34,8 @@ product being associative, combined without a per-step loop:
 * a stored sweep takes the inclusive prefix products of each block
   (Hillis-Steele rounds) and applies them to the state, giving every node.
 
-An endpoint sweep can also lift the angle Theta of y = r(sin Theta, -cos Theta).
+An endpoint sweep, renormalised or not, can also lift the angle Theta of
+y = r(sin Theta, -cos Theta).
 A step exp(M), M = ((a, b), (c, -a)), turns every ray by mu = (c - b)/2 within
 +-|S| = hypot(a, (b + c)/2); for M = P + lambda*Q, mu is mu(P) + lambda*h and
 |S| <= |S(P)| + |lambda| |S(Q)|.  With blocks cut so these bounds sum to at
@@ -114,20 +115,12 @@ def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> tuple[np.ndarray, np.nda
     )
 
 
-# small bounded cache of per-(potential, grid) step coefficients
-_COEFF_CACHE: dict = {}
-
-
 def _step_coeffs(pot: PotentialMatrix, grid: Grid):
-    key = (id(pot), grid.a, grid.b, grid.m)
-    hit = _COEFF_CACHE.get(key)
-    if hit is not None and hit[0] is pot:
-        return hit[1]
-    data = _magnus_coeffs(pot, grid)
-    if len(_COEFF_CACHE) > 48:
-        _COEFF_CACHE.pop(next(iter(_COEFF_CACHE)))
-    _COEFF_CACHE[key] = (pot, data)
-    return data
+    """_magnus_coeffs per grid, kept in the potential's __dict__ (no field)."""
+    tables = pot.__dict__.setdefault("_step_tables", {})
+    if grid not in tables:
+        tables[grid] = _magnus_coeffs(pot, grid)
+    return tables[grid]
 
 
 def _turn_data(P, Q):
@@ -247,17 +240,18 @@ def propagate(
     shape (2, K, m+1) is returned, otherwise the endpoint of shape (2, K).
     renorm (endpoint sweeps only) rescales products and state by positive
     factors whenever they grow past 1e100 (only ratios survive; used for
-    stiff half-axis sweeps).  angle (plain real endpoint sweeps only) also
-    returns the lifted angle Theta of y = r(sin Theta, -cos Theta), shape
-    (K,), continuous along the sweep from the principal value of y0's angle.
+    stiff half-axis sweeps).  angle (real endpoint sweeps only, renormalised
+    or not: a positive rescale moves no angle) also returns the lifted angle
+    Theta of y = r(sin Theta, -cos Theta), shape (K,), continuous along the
+    sweep from the principal value of y0's angle.
     """
     if store and renorm:
         raise DiracError("renorm applies to endpoint sweeps only")
     lam = np.atleast_1d(np.asarray(lam))
     K = lam.shape[0]
     cplx = np.iscomplexobj(lam) or np.iscomplexobj(np.asarray(y0))
-    if angle and (store or renorm or cplx):
-        raise DiracError("the angle lift needs a plain endpoint sweep at real lambda")
+    if angle and (store or cplx):
+        raise DiracError("the angle lift needs an endpoint sweep at real lambda")
     dtype = complex if cplx else float
     y0 = np.asarray(y0, dtype=dtype)
     if y0.ndim == 1:
@@ -286,7 +280,9 @@ def propagate(
         if direction < 0:
             E = tuple(x[::-1] for x in E)
         if not store:
-            y = _apply(_tree_product(E, renorm), y)
+            # an angle block's steps have 2-norms at most e^|S|, the |S| sum
+            # to at most pi/2, so no partial product reaches 1e100 there
+            y = _apply(_tree_product(E, renorm and not angle), y)
             if renorm:
                 y = _rescale(y)
             if angle:

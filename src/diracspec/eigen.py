@@ -137,6 +137,36 @@ def _prufer_residual(pot, grid, lams, alpha, beta, ns):
     return theta - beta - ns * np.pi
 
 
+def _secant_roots(residual, lo, hi, x, slope, target, labels):
+    """Roots x of increasing functions residual(x, act) in brackets [lo, hi].
+
+    Root j starts at x[j] with a step of slope slope[j], then takes secant
+    steps; a step that leaves the bracket, and every 8th iteration, bisects
+    it.  It leaves the batch once its step or bracket is below target[j].
+    Updates lo, hi and x in place; BracketFailure names labels[j].
+    """
+    xp, fp = np.zeros_like(x), np.zeros_like(x)
+    act = np.arange(x.size)
+    for it in range(MAX_ITER):
+        xi = x[act]
+        f = residual(xi, act)
+        lo[act] = np.where(f <= 0.0, xi, lo[act])
+        hi[act] = np.where(f >= 0.0, xi, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = slope[act] if it == 0 else (f - fp[act]) / (xi - xp[act])
+            new = xi - f / step
+        a, b = lo[act], hi[act]
+        bad = ~np.isfinite(new) | (new < a) | (new > b) | (it % 8 == 7)
+        new = np.where(bad, 0.5 * (a + b), new)
+        xp[act], fp[act], x[act] = xi, f, new
+        t = target[act]
+        act = act[(np.abs(new - xi) >= t) & (b - a >= t)]
+        if act.size == 0:
+            return x
+    j = act[0]
+    raise BracketFailure(int(labels[j]), float(lo[j]), float(hi[j]))
+
+
 def find_eigenvalues(
     pot: PotentialMatrix,
     alpha: float,
@@ -150,10 +180,8 @@ def find_eigenvalues(
     lambda_n is the unique root of the increasing function
     f_n = Theta(pi, lambda) - beta - n pi, which lies within W/pi of the
     lattice point n + (beta - alpha)/pi (see the module docstring).  Each
-    root starts at its lattice point, takes one step of slope pi and then
-    secant steps; a step that leaves the known bracket, and every 8th
-    iteration, bisects it instead.  A root is done once its step or its
-    bracket is below min(tol, 1e-12); converged roots leave the batch.
+    root starts at its lattice point with a step of slope pi and is refined
+    by _secant_roots to a step or bracket below min(tol, 1e-12).
     """
     if n_min > n_max:
         raise ContractError("n_min > n_max")
@@ -168,30 +196,12 @@ def find_eigenvalues(
     if w1 >= np.pi:
         raise DiracError("grid too coarse to bound the Pruefer angle")
     half = (w0 + np.max(np.abs(x)) * w1) / (np.pi - w1)
-    lo, hi = x - half, x + half
     # no tolerance below the spacing of floating-point numbers near the root
     target = np.maximum(min(tol, REFINE_WIDTH), 4.0 * np.spacing(np.abs(x) + half))
-    xp, fp = np.zeros_like(x), np.zeros_like(x)
-    act = np.arange(ns.size)
-    for it in range(MAX_ITER):
-        xi = x[act]
-        f = _prufer_residual(pot, grid, xi, alpha, beta, ns[act])
-        lo[act] = np.where(f <= 0.0, xi, lo[act])
-        hi[act] = np.where(f >= 0.0, xi, hi[act])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            slope = np.pi if it == 0 else (f - fp[act]) / (xi - xp[act])
-            new = xi - f / slope
-        a, b = lo[act], hi[act]
-        bad = ~np.isfinite(new) | (new < a) | (new > b) | (it % 8 == 7)
-        new = np.where(bad, 0.5 * (a + b), new)
-        xp[act], fp[act], x[act] = xi, f, new
-        t = target[act]
-        act = act[(np.abs(new - xi) >= t) & (b - a >= t)]
-        if act.size == 0:
-            break
-    else:
-        j = act[0]
-        raise BracketFailure(int(ns[j]), float(lo[j]), float(hi[j]))
+    x = _secant_roots(
+        lambda lams, act: _prufer_residual(pot, grid, lams, alpha, beta, ns[act]),
+        x - half, x + half, x, np.full_like(x, np.pi), target, ns,
+    )
     items = {int(n): SpectralDatum(int(n), float(r)) for n, r in zip(ns, x)}
     return SpectralData(BoundaryAngles.make(alpha, beta), items)
 

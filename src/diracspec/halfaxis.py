@@ -11,6 +11,11 @@ solutions, in one shot or one rank at a time.  The module also evaluates
 the Weyl function m0 by renormalized backward shooting, recovers half-axis
 norming constants from two spectra via principal-value products, and
 checks the half-axis eigenvalue-function derivative -1/a_m.
+
+Eigenvalues solve Theta(0, lambda) = alpha + k pi for the lifted Pruefer
+angle of the decaying solution swept back from x_max, which is strictly
+decreasing in lambda.  Lifted sweeps bracket them; eigen's secant engine
+refines them.
 """
 
 from __future__ import annotations
@@ -23,6 +28,8 @@ import numpy as np
 
 from . import finite_rank
 from .cauchy import initial_state, propagate
+from .eigen import REFINE_WIDTH, _secant_roots
+from .twospectra import pv_product
 from .core import (
     ContractError,
     DomainError,
@@ -33,8 +40,8 @@ from .core import (
 )
 
 SQRT_PI = math.sqrt(math.pi)
-# intervals of the lambda mesh scanned for sign changes by halfaxis_eigenvalues
-SCAN_MESH = 240
+# intervals of the lambda mesh on which halfaxis_eigenvalues brackets its roots
+SCAN_MESH = 16
 # half-step of the central difference in evf_halfaxis_derivative
 EVF_DELTA = 1e-3
 
@@ -358,12 +365,45 @@ def _decaying_start(pot, lams, grid):
     return v / np.max(np.abs(v), axis=0)
 
 
-def _chi_half(pot, alpha, lams, grid):
-    """Boundary defect of the decaying solution at x = 0, batched over lams."""
-    lams = np.asarray(lams, dtype=float)
-    u = propagate(pot, grid, lams, _decaying_start(pot, lams, grid),
-                  direction=-1, renorm=True)
-    return u[0] * math.cos(alpha) + u[1] * math.sin(alpha)
+def _decaying_angle(pot, lams, grid):
+    """Theta(0, lambda) of the decaying solution, strictly decreasing in lambda.
+
+    One backward renormalised sweep lifts the angle from _decaying_start,
+    taken mod 2 pi: for q(x_max) >= 0 that vector crosses the arctan2 cut
+    at lambda = -p(x_max), and mod 2 pi keeps it continuous in lambda.
+    """
+    start = _decaying_start(pot, lams, grid)
+    _, theta = propagate(pot, grid, lams, start, direction=-1, renorm=True, angle=True)
+    return theta + 2.0 * np.pi * (np.arctan2(start[0], -start[1]) < 0.0)
+
+
+def _angle_roots(pot, grid, mesh, theta, targets, ks, tol):
+    """lambda with Theta(0, lambda) = targets, from Theta on the ascending mesh.
+
+    Lifted sweeps split each target's mesh interval at its midpoint until
+    Theta at both ends, so inside too, lies within pi of the target.  There
+    the principal angle fixes Theta, so the secant steps (bracket the
+    interval, start the chord) read plain renormalised sweeps, far cheaper.
+    """
+    while True:
+        j = np.clip(np.searchsorted(-theta, -targets, side="right") - 1, 0, mesh.size - 2)
+        wide = np.unique(j[(theta[j] - targets >= np.pi) | (targets - theta[j + 1] >= np.pi)])
+        if wide.size == 0:
+            break
+        mid = 0.5 * (mesh[wide] + mesh[wide + 1])
+        theta = np.insert(theta, wide + 1, _decaying_angle(pot, mid, grid))
+        mesh = np.insert(mesh, wide + 1, mid)
+
+    def residual(lams, act):  # targets - Theta, wrapped into [-pi, pi)
+        y = propagate(pot, grid, lams, _decaying_start(pot, lams, grid), direction=-1, renorm=True)
+        return np.remainder(targets[act] - np.arctan2(y[0], -y[1]) + np.pi, 2.0 * np.pi) - np.pi
+
+    lo, hi = mesh[j], mesh[j + 1]
+    slope = (theta[j] - theta[j + 1]) / (hi - lo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = np.where(slope > 0.0, lo + (theta[j] - targets) / slope, 0.5 * (lo + hi))
+    stop = np.maximum(min(tol, REFINE_WIDTH), 4.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
+    return _secant_roots(residual, lo, hi, x, slope, stop, ks)
 
 
 def halfaxis_eigenvalues(
@@ -377,28 +417,22 @@ def halfaxis_eigenvalues(
 ) -> list[float]:
     """All truncated-domain eigenvalues in [lam_lo, lam_hi], ascending.
 
-    Scans the boundary defect on a mesh of SCAN_MESH intervals and bisects
-    each sign change; the truncation replaces the integrability condition by
-    the decaying right boundary direction.
+    The truncation replaces the integrability condition by the decaying
+    right boundary direction: the roots solve Theta(0, lambda) = alpha + k pi.
+    One sweep on SCAN_MESH + 1 points counts them exactly, as the k with
+    alpha + k pi in [Theta(lam_hi), Theta(lam_lo)], and brackets each one.
     """
     if x_max is None:
         x_max = suggest_x_max(max(abs(lam_lo), abs(lam_hi)))
     grid = Grid(0.0, x_max, m)
-    xs = np.linspace(lam_lo, lam_hi, SCAN_MESH + 1)
-    vals = _chi_half(pot, alpha, xs, grid)
-    exact = [float(x) for x in xs[vals == 0.0]]
-    sc = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    lo = xs[sc].copy()
-    hi = xs[sc + 1].copy()
-    flo = vals[sc].copy()
-    while np.any(hi - lo > tol):
-        mid = 0.5 * (lo + hi)
-        fm = _chi_half(pot, alpha, mid, grid)
-        left = np.sign(fm) == np.sign(flo)
-        lo = np.where(left, mid, lo)
-        flo = np.where(left, fm, flo)
-        hi = np.where(left, hi, mid)
-    return sorted(exact + [float(v) for v in 0.5 * (lo + hi)])
+    mesh = np.linspace(lam_lo, lam_hi, SCAN_MESH + 1)
+    theta = _decaying_angle(pot, mesh, grid)
+    ks = np.arange(math.ceil((theta[-1] - alpha) / math.pi),
+                   math.floor((theta[0] - alpha) / math.pi) + 1)
+    if ks.size == 0:
+        return []
+    roots = _angle_roots(pot, grid, mesh, theta, alpha + ks * math.pi, ks, tol)
+    return sorted(float(r) for r in roots)
 
 
 def halfaxis_eigen_data(
@@ -426,32 +460,6 @@ def halfaxis_eigen_data(
     return Trajectory2(grid, y1, y2), a
 
 
-def _eigenvalue_by_index(pot, alpha, mdx, x_max, m, tol=1e-10):
-    """lambda_m(alpha) on the branch continuous in alpha with lambda_0(0) <= 0.
-
-    For alpha in [0, pi) the anchor lambda_0 is the largest nonpositive
-    root; for alpha in (-pi, 0) that branch has already crossed zero and is
-    the smallest positive root.
-    """
-    span = 2.0 * math.sqrt(2.0 * (abs(mdx) + 3.0)) + 4.0
-    roots = np.asarray(halfaxis_eigenvalues(pot, alpha, -span, span,
-                                            x_max=x_max, m=m, tol=tol))
-    if alpha >= 0:
-        anchor = roots[roots <= 0]
-        if anchor.size == 0:
-            raise DomainError("no nonpositive eigenvalue in the scanned window")
-        i0 = int(np.nonzero(roots == anchor[-1])[0][0])
-    else:
-        anchor = roots[roots > 0]
-        if anchor.size == 0:
-            raise DomainError("no positive eigenvalue in the scanned window")
-        i0 = int(np.nonzero(roots == anchor[0])[0][0])
-    j = i0 + mdx
-    if j < 0 or j >= roots.size:
-        raise DomainError("requested index outside the scanned window")
-    return float(roots[j])
-
-
 def evf_halfaxis(
     pot: PotentialMatrix,
     gamma: float,
@@ -459,11 +467,22 @@ def evf_halfaxis(
     m: int = 4096,
     tol: float = 1e-10,
 ) -> float:
-    """Eigenvalue function lambda(gamma) = lambda_mdx(alpha), gamma = alpha - pi*mdx."""
-    k = math.ceil((gamma - math.pi / 2.0) / math.pi)
-    alpha = gamma - k * math.pi
-    mdx = -k
-    return _eigenvalue_by_index(pot, alpha, mdx, x_max, m, tol)
+    """Eigenvalue function lambda(gamma) = lambda_mdx(alpha), gamma = alpha - pi*mdx.
+
+    lambda(gamma) solves Theta(0, lambda) = gamma + k0 pi and is strictly
+    decreasing; k0 = ceil(Theta(0, 0)/pi) selects lambda_0(0) <= 0 (for
+    p = 0, y1 vanishes at lambda = 0, so Theta(0, 0) = pi exactly).  A root
+    outside the swept [-span, span] raises DomainError.
+    """
+    mdx = -math.ceil((gamma - math.pi / 2.0) / math.pi)
+    span = 2.0 * math.sqrt(2.0 * (abs(mdx) + 3.0)) + 4.0
+    grid = Grid(0.0, x_max, m)
+    mesh = np.array([-span, 0.0, span])
+    theta = _decaying_angle(pot, mesh, grid)
+    target = gamma + math.ceil(theta[1] / math.pi) * math.pi
+    if not theta[2] <= target <= theta[0]:
+        raise DomainError("the eigenvalue function leaves the scanned window")
+    return float(_angle_roots(pot, grid, mesh, theta, np.array([target]), [mdx], tol)[0])
 
 
 def evf_halfaxis_derivative(
@@ -478,26 +497,25 @@ def evf_halfaxis_derivative(
     return (hi - lo) / (2.0 * EVF_DELTA)
 
 
-def _check_alternating(la: dict[int, float], lb: dict[int, float], N: int) -> None:
-    for k in range(-N, N):
-        if not (lb[k] < la[k] < lb[k + 1]) and not (la[k] < lb[k] < la[k + 1]):
-            raise InterlacingError(f"spectra fail to alternate near index {k}")
+def _window(spec, N):
+    """Eigenvalues of spec at k = -N..N."""
+    try:
+        return np.array([spec[k] for k in range(-N, N + 1)])
+    except KeyError:
+        raise ContractError("spectra must cover |k| <= N") from None
 
 
-def _c_product(la, lb, N, mu):
-    """Truncated product whose large-mu limit determines 1/c."""
-    out = 1.0
-    for k in range(1, N + 1):
-        for kk in (k, -k):
-            out *= (lb[kk] / la[kk]) * math.hypot(la[kk], mu) / math.hypot(lb[kk], mu)
-    return out
+def _c_product(a, b, N, mu):
+    """Truncated product over k != 0 whose large-mu limit determines 1/c."""
+    ks = np.arange(-N, N + 1)
+    nz = ks != 0
+    return pv_product(b[nz] * np.hypot(a[nz], mu), a[nz] * np.hypot(b[nz], mu), ks[nz])
 
 
 def two_spectra_constant(la, lb, N, mu_max: float = 1e3) -> float:
     """The positive constant c, via Richardson in the 1/mu^2 error variable."""
-    p1 = _c_product(la, lb, N, mu_max)
-    p2 = _c_product(la, lb, N, mu_max / 2.0)
-    pinf = (4.0 * p1 - p2) / 3.0
+    a, b = _window(la, N), _window(lb, N)
+    pinf = (4.0 * _c_product(a, b, N, mu_max) - _c_product(a, b, N, mu_max / 2.0)) / 3.0
     if pinf <= 0:
         raise ContractError("degenerate normalization product")
     return 1.0 / pinf
@@ -515,30 +533,20 @@ def halfaxis_two_spectra_norming(
     """a_n(alpha) from the spectra at angles alpha and beta.
 
     Both dictionaries must cover |k| <= N in the enumeration with
-    lambda_0 <= 0 < lambda_1; products are symmetric principal values.
+    lambda_0 <= 0 < lambda_1; products are symmetric principal values of
+    lb_k/la_k over k != 0 and (la_k - lambda_n)/(lb_k - lambda_n) over k != n.
     """
-    for k in range(-N, N + 1):
-        if k not in spec_a or k not in spec_b:
-            raise ContractError("spectra must cover |k| <= N")
-    _check_alternating(spec_a, spec_b, N)
-    la, lb = spec_a, spec_b
-    c = two_spectra_constant(la, lb, N, mu_max)
-    lam_n = la[n]
-    if n == 0:
-        out = c * math.sin(beta - alpha) / (la[0] - lb[0])
-        for k in range(1, N + 1):
-            for kk in (k, -k):
-                out *= (lb[kk] / la[kk]) * (la[kk] - lam_n) / (lb[kk] - lam_n)
-        return out
-    out = c * math.sin(beta - alpha) / (lam_n - lb[n])
-    out *= (la[0] - lam_n) / (lb[0] - lam_n)
-    for k in range(1, N + 1):
-        for kk in (k, -k):
-            fac = lb[kk] / la[kk]
-            if kk != n:
-                fac *= (la[kk] - lam_n) / (lb[kk] - lam_n)
-            out *= fac
-    return out
+    a, b = _window(spec_a, N), _window(spec_b, N)
+    ok = ((b[:-1] < a[:-1]) & (a[:-1] < b[1:])) | ((a[:-1] < b[:-1]) & (b[:-1] < a[1:]))
+    if not np.all(ok):
+        raise InterlacingError(f"spectra fail to alternate near index {np.argmin(ok) - N}")
+    c = two_spectra_constant(spec_a, spec_b, N, mu_max)
+    ks = np.arange(-N, N + 1)
+    lam_n = spec_a[n]
+    nz, kn = ks != 0, ks != n
+    num = np.where(nz, b, 1.0) * np.where(kn, a - lam_n, 1.0)
+    den = np.where(nz, a, 1.0) * np.where(kn, b - lam_n, 1.0)
+    return c * math.sin(beta - alpha) / (lam_n - spec_b[n]) * pv_product(num, den, ks)
 
 
 def one_spectrum_norming_halfaxis(

@@ -73,6 +73,17 @@ class TwoSpectraInput:
         return self.spec_e.angles.alpha
 
 
+def pv_product(num, den, ks) -> float:
+    """prod num_k / den_k over k in ks: over |k| <= N, the principal value.
+
+    A denominator below 1e-14 raises InconsistentDataError naming its k.
+    """
+    bad = np.abs(den) < 1e-14
+    if np.any(bad):
+        raise InconsistentDataError(f"spectra coincide near k = {ks[np.argmax(bad)]}")
+    return float(np.prod(num / den))
+
+
 def norming_from_two_spectra(inp: TwoSpectraInput, n: int) -> float:
     """a_n(alpha) from the truncated principal-value product; positive."""
     N = inp.trunc
@@ -82,23 +93,9 @@ def norming_from_two_spectra(inp: TwoSpectraInput, n: int) -> float:
     la = inp.spec_a.items
     le = inp.spec_e.items
     lam_n = la[n].lam
-
-    def factor(k: int) -> float:
-        den = le[k].lam - lam_n
-        if abs(den) < 1e-14:
-            raise InconsistentDataError(f"spectra coincide near k = {k}")
-        return (la[k].lam - lam_n) / den
-
-    prod = 1.0
-    if n != 0:
-        prod *= factor(0)
-    for k in range(1, N + 1):
-        pair = 1.0
-        if k != n:
-            pair *= factor(k)
-        if -k != n:
-            pair *= factor(-k)
-        prod *= pair
+    ks = np.array([k for k in range(-N, N + 1) if k != n])
+    prod = pv_product(np.array([la[k].lam for k in ks]) - lam_n,
+                      np.array([le[k].lam for k in ks]) - lam_n, ks)
 
     den0 = lam_n - le[n].lam
     if abs(den0) < 1e-14:

@@ -287,8 +287,60 @@ def test_angle_lift_only_on_real_endpoint_sweeps():
 
     g, pot = _sin_pot(64)
     y0 = np.array([0.0, -1.0])
-    for kw in ({"store": True}, {"renorm": True}):
-        with pytest.raises(DiracError):
-            propagate(pot, g, np.array([1.0]), y0, angle=True, **kw)
+    with pytest.raises(DiracError):
+        propagate(pot, g, np.array([1.0]), y0, angle=True, store=True)
     with pytest.raises(DiracError):
         propagate(pot, g, np.array([1.0 + 1j]), y0, angle=True)
+
+
+def _decaying(pot, g, lam):
+    from diracspec.halfaxis import _decaying_start
+
+    return _decaying_start(pot, lam, g)
+
+
+@pytest.mark.parametrize("m", [1024, 4096])
+@pytest.mark.parametrize("x_max", [12.0, 14.0])
+@pytest.mark.parametrize("perturbed", [False, True])
+def test_renorm_angle_matches_unwrapped_stored_sweep(m, x_max, perturbed):
+    """Backward half-axis sweeps from the decaying start: the rescaled angle sweep
+    lifts Theta as the unwrapped stored sweep does and keeps the plain renorm state."""
+    g = Grid(0.0, x_max, m)
+    if perturbed:
+        pot = PotentialMatrix(lambda x: 0.3 * np.cos(x), lambda x: x + np.sin(2 * x), g)
+    else:
+        pot = PotentialMatrix(None, lambda x: x, g)
+    lam = np.linspace(-4.0, 4.0, 17)
+    y0 = _decaying(pot, g, lam)
+    end, theta = propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
+    Y = propagate(pot, g, lam, y0, direction=-1, store=True)
+    nodes = np.arctan2(Y[0], -Y[1])[:, ::-1]
+    np.testing.assert_allclose(theta, np.unwrap(nodes, axis=1)[:, -1], rtol=0, atol=1e-10)
+    plain = propagate(pot, g, lam, y0, direction=-1, renorm=True)
+    # the same state up to a positive scale; a ratio y1/y2 would be ill
+    # conditioned at the eigenvalues, where y1(0) vanishes
+    unit = lambda y: y / np.hypot(y[0], y[1])
+    np.testing.assert_allclose(unit(end), unit(plain), rtol=0, atol=1e-12)
+
+
+def test_renorm_angle_stays_finite():
+    # q = x on [0, 40]: the unscaled backward solution grows like exp(800)
+    g = Grid(0.0, 40.0, 4096)
+    pot = PotentialMatrix(None, lambda x: x, g)
+    lam = np.linspace(-4.0, 4.0, 9)
+    end, theta = propagate(pot, g, lam, _decaying(pot, g, lam), direction=-1,
+                           renorm=True, angle=True)
+    assert np.all(np.isfinite(end)) and np.all(np.isfinite(theta))
+    assert np.all(np.max(np.abs(end), axis=0) > 0.0)
+
+
+def test_step_tables_die_with_the_potential():
+    import gc
+    import weakref
+
+    g, pot = _sin_pot(64)
+    propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]))
+    ref = weakref.ref(pot)
+    del pot
+    gc.collect()
+    assert ref() is None

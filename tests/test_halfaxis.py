@@ -192,6 +192,35 @@ def test_two_spectra_norming_model():
     assert a1 == pytest.approx(2.0 * SQRT_PI, rel=0.05)
 
 
+def _loop_halfaxis_norming(la, lb, alpha, beta, n, N, mu_max=1e3):
+    """a_n by the nested pairwise loops, the reference for the vectorised products."""
+    def c_product(mu):
+        out = 1.0
+        for k in range(1, N + 1):
+            for kk in (k, -k):
+                out *= (lb[kk] / la[kk]) * math.hypot(la[kk], mu) / math.hypot(lb[kk], mu)
+        return out
+
+    c = 3.0 / (4.0 * c_product(mu_max) - c_product(mu_max / 2.0))
+    lam_n = la[n]
+    out = c * math.sin(beta - alpha) / (lam_n - lb[n])
+    if n != 0:
+        out *= (la[0] - lam_n) / (lb[0] - lam_n)
+    for k in range(1, N + 1):
+        for kk in (k, -k):
+            out *= lb[kk] / la[kk] * ((la[kk] - lam_n) / (lb[kk] - lam_n) if kk != n else 1.0)
+    return out
+
+
+def test_two_spectra_products_match_loops():
+    la = model_spectrum("half_bc0", 420).lams
+    lb = {k: v + 0.01 * math.sin(k) for k, v in model_spectrum("half_bc_pi2", 420).lams.items()}
+    for n in (-3, 0, 1, 5):
+        want = _loop_halfaxis_norming(la, lb, 0.0, 1.4, n, 400)
+        # 800 factors reordered: rounding differs by far less than 1e-12
+        assert halfaxis_two_spectra_norming(la, lb, 0.0, 1.4, n, N=400) == pytest.approx(want, rel=1e-12)
+
+
 def test_two_spectra_rejects_non_alternating():
     la = model_spectrum("half_bc0", 12).lams
     lb = {k: v + 5.0 for k, v in la.items()}
@@ -220,3 +249,54 @@ def test_evf_derivative_and_monotonicity():
     assert d == pytest.approx(-2.0 / SQRT_PI, abs=1e-2)
     vals = [evf_halfaxis(pot, g) for g in (-0.3, 0.0, 0.3, 0.6)]
     assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
+def test_evf_branch_below_zero_ground_state():
+    """With the ground state removed, lambda_0(0) = -2 < 0: lambda(gamma) stays on
+    that branch on both sides of gamma = 0 and its slope is -1/a = -1/(2 sqrt pi)."""
+    base = model_spectrum("half_bc0", 8)
+    pot = surgery(base, SurgeryPlan(removals=frozenset({0})), Grid(0.0, 14.0, 4096)).potential
+    vals = [evf_halfaxis(pot, g) for g in (-1e-3, 0.0, 1e-3)]
+    assert all(abs(v + 2.0) < 1e-3 for v in vals)
+    assert vals[0] > vals[1] > vals[2]
+    assert evf_halfaxis_derivative(pot, 0.0) == pytest.approx(-1.0 / (2.0 * SQRT_PI), abs=1e-3)
+
+
+@pytest.mark.parametrize("x_max", [12.0, 30.0, 40.0])
+def test_decaying_angle_strictly_decreasing(x_max):
+    """Theta(0, lambda), start angle taken mod 2 pi, has no jump at the arctan2
+    cut lambda = -p(x_max) = 0 and decreases on a dense mesh."""
+    from diracspec.halfaxis import _decaying_angle
+
+    g = Grid(0.0, x_max, 4096)
+    lam = np.linspace(-6.0, 6.0, 1001)
+    theta = _decaying_angle(linear_potential(x_max, 4096), lam, g)
+    assert np.all(np.isfinite(theta))
+    assert np.all(np.diff(theta) < 0.0)
+    assert theta[500] == math.pi
+
+
+def test_evf_root_outside_window_raises():
+    """q = x + 10 opens a gap around 0: lambda(gamma) leaves the swept
+    [-span, span] between gamma = 0.5 and 1.0, which must be refused."""
+    pot = PotentialMatrix(None, lambda x: x + 10.0, Grid(0.0, 14.0, 4096))
+    assert -2.0 * math.sqrt(6.0) - 4.0 < evf_halfaxis(pot, 0.5) < 0.0
+    with pytest.raises(DomainError):
+        evf_halfaxis(pot, 1.0)
+
+
+def test_angle_roots_split_wide_cells():
+    """A one-cell mesh over 12 roots: the lifted midpoint sweeps split the
+    cell until every target is within pi of Theta at its cell ends, and the
+    secant steps on the principal angle then give halfaxis_eigenvalues' roots."""
+    from diracspec.halfaxis import _angle_roots, _decaying_angle
+
+    pot = linear_potential(12.0, 1024)
+    g = Grid(0.0, 12.0, 1024)
+    want = halfaxis_eigenvalues(pot, 0.7, -3.0, 6.0, x_max=12.0, m=1024)
+    mesh = np.array([-3.0, 6.0])
+    theta = _decaying_angle(pot, mesh, g)
+    ks = np.arange(math.ceil((theta[-1] - 0.7) / math.pi), math.floor((theta[0] - 0.7) / math.pi) + 1)
+    assert ks.size == len(want) == 12
+    got = np.sort(_angle_roots(pot, g, mesh, theta, 0.7 + ks * math.pi, ks, 1e-10))
+    assert np.max(np.abs(got - want)) < 1e-10

@@ -9,11 +9,13 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from diracspec.cauchy import propagate
 from diracspec.core import DiracError, Grid, PotentialMatrix
 from diracspec.eigen import _prufer_residual, char_function, find_eigenvalues
+from diracspec.halfaxis import _decaying_start, halfaxis_eigenvalues
 
 
 def _chi_sign_changes(pot, alpha, beta, lo, hi, step):
@@ -103,3 +105,46 @@ def test_root_engine_properties(pot, alpha, beta, n_min):
     assert np.all(_prufer_residual(pot, pot.domain, inner + eps, alpha, beta, ns) > 0)
     # raising alpha by less than pi moves every root down, but not past its lower neighbour
     assert np.all(lams[:-2] < shifted) and np.all(shifted < inner)
+
+
+def _decaying_chi(pot, alpha, lams, grid):
+    """sin(Theta(0) - alpha) of the decaying solution swept back from x_max."""
+    u = propagate(pot, grid, lams, _decaying_start(pot, lams, grid), direction=-1, renorm=True)
+    return (u[0] * math.cos(alpha) + u[1] * math.sin(alpha)) / np.hypot(u[0], u[1])
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much])
+@given(
+    amp=st.floats(0.0, 0.6),
+    k=st.floats(0.3, 3.0),
+    phase=st.floats(0.0, 2 * math.pi),
+    alpha=st.floats(-math.pi / 2, math.pi / 2),
+    lo=st.floats(-5.0, 3.0),
+    width=st.floats(0.2, 3.0),
+)
+def test_halfaxis_roots_match_decaying_chi(amp, k, phase, alpha, lo, width):
+    """q = x + amp sin(k x + phase): every mesh interval where the decaying chi
+    changes sign holds exactly one root, no other interval holds one, and
+    every other root sits on a node where chi vanishes.  A root within
+    rounding of a window edge may be reported or not, so windows whose
+    edges sit that close to a root are skipped."""
+    x_max, m = 12.0, 1024
+    grid = Grid(0.0, x_max, m)
+    pot = PotentialMatrix(None, lambda x: x + amp * np.sin(k * x + phase), grid)
+    hi = lo + width
+    assume(np.all(np.abs(_decaying_chi(pot, alpha, np.array([lo, hi]), grid)) > 1e-8))
+    try:
+        roots = np.array(halfaxis_eigenvalues(pot, alpha, lo, hi, x_max=x_max, m=m))
+    except DiracError:
+        return  # a refusal must be a library error; anything else fails the test
+    assert np.all((lo <= roots) & (roots <= hi)) and np.all(np.diff(roots) > 0)
+    step = min(1.0 / 32.0, 0.25 * np.min(np.diff(roots), initial=np.inf))
+    mesh = np.linspace(lo, hi, int(np.ceil(width / step)) + 1)
+    chi = _decaying_chi(pot, alpha, mesh, grid)
+    # a root on a mesh node (lambda = 0 at alpha = 0 for p = 0) zeroes chi there
+    zeros = mesh[chi == 0.0]
+    changes = np.flatnonzero(np.sign(chi[:-1]) * np.sign(chi[1:]) < 0.0)
+    inner = roots[~np.isin(roots, zeros)]
+    assert inner.size == changes.size and roots.size == inner.size + zeros.size
+    assert np.array_equal(np.searchsorted(mesh, inner) - 1, changes)

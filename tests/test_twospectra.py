@@ -50,6 +50,23 @@ def test_truncation_error_halves(sin_data_220, sin_spec_eps220):
     assert errs[1] < errs[0]
 
 
+def _loop_norming(inp, n):
+    """a_n by the pairwise loop over k = 0, +-1, +-2, ..., the reference for the product."""
+    la, le, lam_n = inp.spec_a.items, inp.spec_e.items, inp.spec_a.items[n].lam
+    prod = 1.0
+    for k in [0] + [s * j for j in range(1, inp.trunc + 1) for s in (1, -1)]:
+        if k != n:
+            prod *= (la[k].lam - lam_n) / (le[k].lam - lam_n)
+    return math.sin(inp.eps - inp.alpha) / (lam_n - le[n].lam) * prod
+
+
+def test_vectorised_product_matches_loop(sin_data_220, sin_spec_eps220):
+    inp = TwoSpectraInput(sin_data_220, sin_spec_eps220, trunc=200)
+    for n in (-150, -3, 0, 1, 77):
+        # 400 factors reordered: rounding differs by far less than 1e-12
+        assert norming_from_two_spectra(inp, n) == pytest.approx(_loop_norming(inp, n), rel=1e-12)
+
+
 def test_positivity(sin_data_220, sin_spec_eps220):
     inp = TwoSpectraInput(sin_data_220, sin_spec_eps220, trunc=200)
     for n in (-5, -1, 0, 2, 8):
