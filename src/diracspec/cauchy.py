@@ -35,11 +35,12 @@ product being associative, combined without a per-step loop:
   (Hillis-Steele rounds) and applies them to the state, giving every node.
 
 An endpoint sweep, renormalised or not, can also lift the angle Theta of
-y = r(sin Theta, -cos Theta).
-A step exp(M), M = ((a, b), (c, -a)), turns every ray by mu = (c - b)/2 within
-+-|S| = hypot(a, (b + c)/2); for M = P + lambda*Q, mu is mu(P) + lambda*h and
-|S| <= |S(P)| + |lambda| |S(Q)|.  With blocks cut so these bounds sum to at
-most pi/2, one arctan2 per block and lambda fixes the block's whole turn.
+y = r(sin Theta, -cos Theta).  A step exp(M), M = ((a, b), (c, -a)), turns
+every ray by mu = (c - b)/2 within +-|S| = hypot(a, (b + c)/2); for
+M = P + lambda*Q, mu is mu(P) + lambda*h and |S| <= |S(P)| + |lambda| |S(Q)|.
+Its trees stop at segments whose bounds sum to at most pi/2; a prefix scan
+gives the state at every segment end, where one arctan2 per lambda fixes the
+segment's whole turn.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def _c_matrix(pot: PotentialMatrix, x: np.ndarray) -> np.ndarray:
 _D = np.array([[0.0, -1.0], [1.0, 0.0]])
 
 
-def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> tuple[np.ndarray, np.ndarray]:
-    """Step exponents M = P + lambda*Q as planar entries (a, b, c), shape (3, m).
+def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> np.ndarray:
+    """Step exponents M = P + lambda*Q as planar entries (a, b, c) of (P, Q), shape (2, 3, m).
 
     M is trace free, so M = ((a, b), (c, -a)).
     """
@@ -109,10 +110,10 @@ def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> tuple[np.ndarray, np.nda
     w = _SQRT3 * h * h / 12.0
     P = 0.5 * h * (c1 + c2) + w * comm_cc
     Q = h * _D + w * comm_cd
-    return (
-        np.stack([P[:, 0, 0], P[:, 0, 1], P[:, 1, 0]]),
-        np.stack([Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 0]]),
-    )
+    return np.stack([
+        [P[:, 0, 0], P[:, 0, 1], P[:, 1, 0]],
+        [Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 0]],
+    ])
 
 
 def _step_coeffs(pot: PotentialMatrix, grid: Grid):
@@ -123,19 +124,18 @@ def _step_coeffs(pot: PotentialMatrix, grid: Grid):
     return tables[grid]
 
 
-def _turn_data(P, Q):
-    """Per-step rotation rates mu(P), mu(Q) and turn bounds |mu(P)| + |S(P)|, |S(Q)|."""
-    mu_p = 0.5 * (P[2] - P[1])
-    mu_q = 0.5 * (Q[2] - Q[1])
-    d_p = np.abs(mu_p) + np.hypot(P[0], 0.5 * (P[1] + P[2]))
-    d_q = np.hypot(Q[0], 0.5 * (Q[1] + Q[2]))
-    return mu_p, mu_q, d_p, d_q
+def _turn_data(coeffs):
+    """Per-step rotation rates (mu(P), mu(Q)) and turn bounds |mu(P)| + |S(P)|, |S(Q)|."""
+    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
+    mu = 0.5 * (c - b)
+    s = np.hypot(a, 0.5 * (b + c))
+    return mu, np.abs(mu[0]) + s[0], s[1]
 
 
 def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
     """(W0, W1) with |Theta(b) - Theta(a) - lambda*(b - a)| <= W0 + |lambda| W1 at real lambda."""
-    mu_p, mu_q, d_p, d_q = _turn_data(*_step_coeffs(pot, grid))
-    return float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu_q) - (grid.b - grid.a)))
+    mu, d_p, d_q = _turn_data(_step_coeffs(pot, grid))
+    return float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu[1]) - (grid.b - grid.a)))
 
 
 def _expm_tracefree(a, b, c):
@@ -187,14 +187,17 @@ def _rescale(x):
     return tuple(e / scale for e in x)
 
 
-def _tree_product(E, renorm: bool):
-    """Ordered product E[n-1] ... E[1] E[0] of planar stacks along the leading axis.
+def _tree_product(E, renorm: bool, rounds: int):
+    """Pairwise products of planar stacks E along the leading axis, `rounds` times.
 
-    Pairwise rounds halve the stack log2(n) times; an odd last factor moves
-    to the next round unchanged.
+    Each round halves the stack and an odd last factor moves to the next round
+    unchanged, so after r rounds entry i is the ordered product of factors
+    [i 2^r, (i+1) 2^r); enough rounds leave the whole product E[n-1] ... E[0].
     """
-    while E[0].shape[0] > 1:
+    for _ in range(rounds):
         n = E[0].shape[0]
+        if n == 1:
+            break
         n2 = n - n % 2
         P = _mul([e[1:n2:2] for e in E], [e[0:n2:2] for e in E])
         if renorm:
@@ -202,19 +205,21 @@ def _tree_product(E, renorm: bool):
         if n2 < n:
             P = tuple(np.concatenate([p, e[n2:]]) for p, e in zip(P, E))
         E = P
-    return tuple(e[0] for e in E)
+    return E
 
 
-def _prefix_products(E):
+def _prefix_products(E, renorm: bool):
     """Inclusive prefix products E[k] ... E[0] along the leading axis, in place.
 
     Hillis-Steele scan: after the round with offset d, entry k holds the
-    product of factors max(0, k - 2d + 1) .. k.
+    product of factors max(0, k - 2d + 1) .. k, rescaled by _rescale if renorm.
     """
     n = E[0].shape[0]
     d = 1
     while d < n:
         P = _mul([e[d:] for e in E], [e[:-d] for e in E])
+        if renorm:
+            P = _rescale(P)
         for e, p in zip(E, P):
             e[d:] = p
         d *= 2
@@ -243,7 +248,8 @@ def propagate(
     stiff half-axis sweeps).  angle (real endpoint sweeps only, renormalised
     or not: a positive rescale moves no angle) also returns the lifted angle
     Theta of y = r(sin Theta, -cos Theta), shape (K,), continuous along the
-    sweep from the principal value of y0's angle.
+    sweep from the principal value of y0's angle, at about the cost of the
+    plain sweep (see the module docstring).
     """
     if store and renorm:
         raise DiracError("renorm applies to endpoint sweeps only")
@@ -258,46 +264,47 @@ def propagate(
         y0 = np.repeat(y0[:, None], K, axis=1)
     y = (y0[0], y0[1])
     m = grid.m
-    P, Q = _step_coeffs(pot, grid)
-    sign = 1.0 if direction > 0 else -1.0
+    coeffs = _step_coeffs(pot, grid)
+    P, Q = coeffs
+    step = 1 if direction > 0 else -1
     block = max(8, _BLOCK // max(K, 1))
+    blocks = [(s, min(s + block, m)) for s in range(0, m, block)][::step]
+    # tree rounds per block: none keeps every step, m leaves the block product
+    rounds = 0 if store else m
     if angle:
-        mu_p, mu_q, d_p, d_q = _turn_data(P, Q)
-        blocks = _turn_blocks(d_p + np.max(np.abs(lam), initial=0.0) * d_q, block)
+        mu, d_p, d_q = _turn_data(coeffs)
+        rounds = _lift_rounds(d_p + np.max(np.abs(lam), initial=0.0) * d_q)
+        mu = step * mu
         theta, turns = np.arctan2(y[0], -y[1]), np.zeros(K)
-    else:
-        blocks = [(s, min(s + block, m)) for s in range(0, m, block)]
-    if direction < 0:
-        blocks = blocks[::-1]
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
         node0 = 0 if direction > 0 else m
         Y[0, :, node0], Y[1, :, node0] = y
 
     for s, e in blocks:
-        a, b, c = sign * (P[:, s:e, None] + Q[:, s:e, None] * lam)
-        E = _expm_tracefree(a, b, c)
-        if direction < 0:
-            E = tuple(x[::-1] for x in E)
-        if not store:
-            # an angle block's steps have 2-norms at most e^|S|, the |S| sum
-            # to at most pi/2, so no partial product reaches 1e100 there
-            y = _apply(_tree_product(E, renorm and not angle), y)
-            if renorm:
-                y = _rescale(y)
-            if angle:
-                # the block turns every ray by rot within +-pi/2: lift exactly
-                rot = sign * (np.sum(mu_p[s:e]) + lam * np.sum(mu_q[s:e]))
-                new = np.arctan2(y[0], -y[1])
-                turns += np.round((rot - (new - theta)) / (2.0 * np.pi))
-                theta = new
-            continue
-        y1, y2 = _apply(_prefix_products(E), y)
-        if direction > 0:
-            Y[0, :, s + 1 : e + 1], Y[1, :, s + 1 : e + 1] = y1.T, y2.T
-        else:
-            Y[0, :, s:e], Y[1, :, s:e] = y1[::-1].T, y2[::-1].T
-        y = (y1[-1], y2[-1])
+        a, b, c = step * (P[:, s:e, None] + Q[:, s:e, None] * lam)
+        E = tuple(x[::step] for x in _expm_tracefree(a, b, c))
+        # the state at every segment end, scaled by positive factors if renorm
+        ys = _apply(_prefix_products(_tree_product(E, renorm, rounds), renorm), y)
+        if renorm:
+            ys = _rescale(ys)
+        if angle:
+            # each segment turns every ray by rot within +-pi/2: lift exactly
+            seg = np.arange(0, e - s, 2**rounds)
+            mp, mq = np.add.reduceat(mu[:, s:e][:, ::step], seg, axis=1)[..., None]
+            new = np.arctan2(ys[0], -ys[1])
+            # rot minus each segment's principal difference, end minus start
+            slip = mp + mq * lam - new
+            slip[0] += theta
+            slip[1:] += new[:-1]
+            turns += np.round(slip / (2.0 * np.pi)).sum(axis=0)
+            theta = new[-1]
+        if store:
+            if direction > 0:
+                Y[0, :, s + 1 : e + 1], Y[1, :, s + 1 : e + 1] = ys[0].T, ys[1].T
+            else:
+                Y[0, :, s:e], Y[1, :, s:e] = ys[0][::-1].T, ys[1][::-1].T
+        y = (ys[0][-1], ys[1][-1])
 
     if store:
         return Y
@@ -306,18 +313,24 @@ def propagate(
     return np.stack(y)
 
 
-def _turn_blocks(d, block):
-    """Blocks of at most `block` steps whose turn bounds d sum to at most pi/2."""
+def _lift_rounds(d):
+    """Largest r with every window of 2^r steps turning rays by at most pi/2 in all.
+
+    d holds the steps' turn bounds; windows longer than the grid are the grid.
+    """
+    top = np.max(d)
+    if top > 0.5 * np.pi:
+        raise DiracError("one step turns rays by more than pi/2; refine the grid")
     cum = np.concatenate([[0.0], np.cumsum(d)])
-    ends = np.searchsorted(cum, cum + 0.5 * np.pi, side="right") - 1
-    blocks, s = [], 0
-    while s < d.size:
-        e = min(s + block, int(ends[s]))
-        if e <= s:
-            raise DiracError("one step turns rays by more than pi/2; refine the grid")
-        blocks.append((s, e))
-        s = e
-    return blocks
+    # a window of 2^r steps is bounded by 2^r top, so start from that r
+    with np.errstate(divide="ignore", over="ignore"):
+        r = int(min(np.log2(0.5 * np.pi / top), d.size.bit_length()))
+    while 2**r < d.size:
+        w = min(2 ** (r + 1), d.size)
+        if np.max(cum[w:] - cum[:-w]) > 0.5 * np.pi:
+            break
+        r += 1
+    return r
 
 
 def initial_state(alpha: float) -> np.ndarray:

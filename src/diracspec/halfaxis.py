@@ -380,30 +380,17 @@ def _decaying_angle(pot, lams, grid):
 def _angle_roots(pot, grid, mesh, theta, targets, ks, tol):
     """lambda with Theta(0, lambda) = targets, from Theta on the ascending mesh.
 
-    Lifted sweeps split each target's mesh interval at its midpoint until
-    Theta at both ends, so inside too, lies within pi of the target.  There
-    the principal angle fixes Theta, so the secant steps (bracket the
-    interval, start the chord) read plain renormalised sweeps, far cheaper.
+    Each target is bracketed by its mesh interval and refined by secant
+    steps on targets - Theta, one lifted sweep per step.
     """
-    while True:
-        j = np.clip(np.searchsorted(-theta, -targets, side="right") - 1, 0, mesh.size - 2)
-        wide = np.unique(j[(theta[j] - targets >= np.pi) | (targets - theta[j + 1] >= np.pi)])
-        if wide.size == 0:
-            break
-        mid = 0.5 * (mesh[wide] + mesh[wide + 1])
-        theta = np.insert(theta, wide + 1, _decaying_angle(pot, mid, grid))
-        mesh = np.insert(mesh, wide + 1, mid)
-
-    def residual(lams, act):  # targets - Theta, wrapped into [-pi, pi)
-        y = propagate(pot, grid, lams, _decaying_start(pot, lams, grid), direction=-1, renorm=True)
-        return np.remainder(targets[act] - np.arctan2(y[0], -y[1]) + np.pi, 2.0 * np.pi) - np.pi
-
+    j = np.clip(np.searchsorted(-theta, -targets, side="right") - 1, 0, mesh.size - 2)
     lo, hi = mesh[j], mesh[j + 1]
     slope = (theta[j] - theta[j + 1]) / (hi - lo)
     with np.errstate(divide="ignore", invalid="ignore"):
         x = np.where(slope > 0.0, lo + (theta[j] - targets) / slope, 0.5 * (lo + hi))
     stop = np.maximum(min(tol, REFINE_WIDTH), 4.0 * np.spacing(np.maximum(abs(lo), abs(hi))))
-    return _secant_roots(residual, lo, hi, x, slope, stop, ks)
+    return _secant_roots(lambda lams, act: targets[act] - _decaying_angle(pot, lams, grid),
+                         lo, hi, x, slope, stop, ks)
 
 
 def halfaxis_eigenvalues(

@@ -264,7 +264,7 @@ def test_removed_options_rejected():
         propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), store=True, renorm=True)
 
 
-@pytest.mark.parametrize("m", [256, 1024, 4096])
+@pytest.mark.parametrize("m", [256, 1000, 1024, 4096])
 def test_lifted_angle_matches_unwrapped_stored_sweep(m):
     """Theta of y = r(sin Theta, -cos Theta) at the far end against np.unwrap of every node."""
     g = Grid(0.0, math.pi, m)
@@ -324,14 +324,33 @@ def test_renorm_angle_matches_unwrapped_stored_sweep(m, x_max, perturbed):
 
 
 def test_renorm_angle_stays_finite():
-    # q = x on [0, 40]: the unscaled backward solution grows like exp(800)
+    # q = x on [0, 40]: the unscaled backward solution grows like exp(800);
+    # one lambda sweeps the grid in one block, so its segment scan must rescale
     g = Grid(0.0, 40.0, 4096)
     pot = PotentialMatrix(None, lambda x: x, g)
-    lam = np.linspace(-4.0, 4.0, 9)
-    end, theta = propagate(pot, g, lam, _decaying(pot, g, lam), direction=-1,
-                           renorm=True, angle=True)
-    assert np.all(np.isfinite(end)) and np.all(np.isfinite(theta))
-    assert np.all(np.max(np.abs(end), axis=0) > 0.0)
+    for lam in (np.linspace(-4.0, 4.0, 9), np.array([0.5])):
+        end, theta = propagate(pot, g, lam, _decaying(pot, g, lam), direction=-1,
+                               renorm=True, angle=True)
+        assert np.all(np.isfinite(end)) and np.all(np.isfinite(theta))
+        assert np.all(np.max(np.abs(end), axis=0) > 0.0)
+
+
+def test_lifted_renorm_sweep_builds_each_block_once(monkeypatch):
+    """The angle lift runs inside the plain block partition: a lifted backward
+    half-axis sweep evaluates as many step-exponential blocks as a plain one."""
+    from diracspec import cauchy
+
+    g = Grid(0.0, 12.0, 1024)
+    pot = PotentialMatrix(None, lambda x: x, g)
+    lam = np.array([0.5])
+    y0 = _decaying(pot, g, lam)
+    calls = []
+    expm = cauchy._expm_tracefree
+    monkeypatch.setattr(cauchy, "_expm_tracefree", lambda *abc: calls.append(1) or expm(*abc))
+    propagate(pot, g, lam, y0, direction=-1, renorm=True)
+    plain = len(calls)
+    propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
+    assert plain == len(calls) - plain == 1
 
 
 def test_step_tables_die_with_the_potential():

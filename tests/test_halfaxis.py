@@ -3,7 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from diracspec.core import ContractError, DomainError, Grid, InterlacingError, PotentialMatrix
+from diracspec.core import (
+    ContractError,
+    DomainError,
+    Grid,
+    InterlacingError,
+    PotentialMatrix,
+    SingularSystemError,
+)
 from diracspec.halfaxis import (
     ModelSpectrum,
     SurgeryPlan,
@@ -286,9 +293,8 @@ def test_evf_root_outside_window_raises():
 
 
 def test_angle_roots_split_wide_cells():
-    """A one-cell mesh over 12 roots: the lifted midpoint sweeps split the
-    cell until every target is within pi of Theta at its cell ends, and the
-    secant steps on the principal angle then give halfaxis_eigenvalues' roots."""
+    """A one-cell mesh over 12 roots: secant steps on the lifted angle, all
+    bracketed by that one cell, give halfaxis_eigenvalues' roots."""
     from diracspec.halfaxis import _angle_roots, _decaying_angle
 
     pot = linear_potential(12.0, 1024)
@@ -300,3 +306,15 @@ def test_angle_roots_split_wide_cells():
     assert ks.size == len(want) == 12
     got = np.sort(_angle_roots(pot, g, mesh, theta, 0.7 + ks * math.pi, ks, 1e-10))
     assert np.max(np.abs(got - want)) < 1e-10
+
+
+@pytest.mark.xfail(strict=True, raises=SingularSystemError,
+                   reason="the kernel system turns singular near x_max when three states are removed")
+def test_surgery_removing_three_states():
+    """Halfaxis benchmark seed 28's plan1: remove lambda_-1, lambda_0 and lambda_1."""
+    base = model_spectrum("half_bc0", 8)
+    plan = SurgeryPlan(removals=frozenset({-1, 0, 1}))
+    grid = Grid(0.0, 12.0, 2048)
+    pot = surgery(base, plan, grid).potential
+    assert np.all(np.isfinite(pot.sample_p(grid.nodes)))
+    assert np.all(np.isfinite(pot.sample_q(grid.nodes)))
