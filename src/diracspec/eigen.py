@@ -141,8 +141,9 @@ def _secant_roots(residual, lo, hi, x, slope, target, labels):
     """Roots x of increasing functions residual(x, act) in brackets [lo, hi].
 
     Root j starts at x[j] with a step of slope slope[j], then takes secant
-    steps; a step that leaves the bracket, and every 8th iteration, bisects
-    it.  It leaves the batch once its step or bracket is below target[j].
+    steps; a step that leaves the bracket bisects it, and so does every 8th
+    iteration unless the step is already below target[j].  It leaves the
+    batch once its step or bracket is below target[j].
     Updates lo, hi and x in place; BracketFailure names labels[j].
     """
     xp, fp = np.zeros_like(x), np.zeros_like(x)
@@ -155,11 +156,11 @@ def _secant_roots(residual, lo, hi, x, slope, target, labels):
         with np.errstate(divide="ignore", invalid="ignore"):
             step = slope[act] if it == 0 else (f - fp[act]) / (xi - xp[act])
             new = xi - f / step
-        a, b = lo[act], hi[act]
-        bad = ~np.isfinite(new) | (new < a) | (new > b) | (it % 8 == 7)
+        a, b, t = lo[act], hi[act], target[act]
+        bad = ~np.isfinite(new) | (new < a) | (new > b)
+        bad |= (it % 8 == 7) & (np.abs(new - xi) >= t)
         new = np.where(bad, 0.5 * (a + b), new)
         xp[act], fp[act], x[act] = xi, f, new
-        t = target[act]
         act = act[(np.abs(new - xi) >= t) & (b - a >= t)]
         if act.size == 0:
             return x

@@ -14,9 +14,10 @@ zero-potential Cauchy solutions.  The transformation kernel K solves
 
 F(x, t) = U(x) C U(t)^T has rank R = 2(2N + 1), so trapezoid collocation
 reduces at every x node to an R x R system for the coefficients G(x) of
-K(x, t) = G(x) U(t)^T, solved for blocks of nodes at once.  The potential
-is read off the diagonal: with K_A the B-anticommuting (symmetric
-trace-free) part of K(x, x),
+K(x, t) = G(x) U(t)^T; neighbouring nodes' systems differ by a rank-2 Gram
+step, so one LU serves a block of nodes through Woodbury updates (Hager
+1989).  The potential is read off the diagonal: with K_A the
+B-anticommuting (symmetric trace-free) part of K(x, x),
 
     Omega(x) = K_A(x, x) B - B K_A(x, x),
 
@@ -44,6 +45,8 @@ from .eigen import SpectralData, SpectralDatum
 
 # relative tolerance of the closing orthogonality and boundary checks
 CHECK_TOL = 5e-2
+# collocation nodes per block of solve_gl, which factors one R x R system each
+BLOCK = 16
 
 
 def _phi0(lam, alpha: float, x: np.ndarray) -> np.ndarray:
@@ -131,8 +134,11 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
         G_j (I + V_j C) = -U(x_j) C,   V_j = sum_i w_i U(x_i)^T U(x_i),
     w the trapezoid weights on [0, x_j] (h/2 at both ends, zero at j = 0).
     By Sylvester's determinant identity this is the dense 2(j + 1) system
-    of node j reduced to size R.  Blocks of nodes carry the running Gram
-    sum and are solved in one batched call each.
+    of node j reduced to size R.  Within a block of BLOCK nodes starting at
+    j0, A_j = I + C V_j differs from A_j0 by the rank-2b trapezoid step
+    C U_B^T Om_j U_B (U_B stacks the block's U(x_i)), so A_j0 is factored
+    once and each node's solve is a 2b x 2b Woodbury capacitance system,
+    all of a block's in one batched call.
     """
     if series.trunc * 8 > grid.m:
         raise ContractError("truncation too large for the grid: need N <= m/8")
@@ -143,33 +149,40 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
     R = c.size
     nx = grid.m + 1
-    # carry = I + C (h sum_{i < j0} U_i^T U_i - (h/2) U_0^T U_0) for the block at j0
-    carry = np.eye(R) - 0.5 * grid.h * (CUT[0] @ UT[0].T)
-    blk = max(8, 2**16 // R**2)
-    # row 0 sums a block with weight h; row 1 + j is node j's trapezoid row
-    W = grid.h * np.vstack([np.ones(blk), np.tri(blk) - 0.5 * np.eye(blk)])
+    # row k: trapezoid weights on [x_j0, x_j0+k], one per column of C U_B^T
+    e = np.eye(BLOCK + 1)
+    tw = grid.h * np.repeat(np.tri(BLOCK + 1) - 0.5 * (e + e[0]), 2, axis=1)
+    A = np.eye(R)  # I + C V_j0 = (I + V_j0 C)^T at the block start j0
     GE = np.empty((2, nx, 2, R))  # G_j and the residual factor E_j
-    for j0 in range(0, nx, blk):
-        b = min(blk, nx - j0)
-        P = CUT[j0 : j0 + b] @ UT[j0 : j0 + b].transpose(0, 2, 1)
-        S = (W[: b + 1, :b] @ P.reshape(b, R * R)).reshape(b + 1, R, R)
-        A = S[1:]
-        A += carry  # I + C V_j = (I + V_j C)^T
-        carry += S[0]
+    for j0 in range(0, nx, BLOCK):
+        b = min(BLOCK, nx - j0)
+        n2, k = 2 * b, np.arange(b)
+        # C U_B^T and U_B over the block's nodes and, if any, the next block start
+        M = CUT[j0 : j0 + b + 1].transpose(1, 0, 2).reshape(R, -1)
+        U = UT[j0 : j0 + b + 1].transpose(0, 2, 1).reshape(-1, R)
+        W = tw[:b, :n2]  # A_j = A + M Om U_B with Om = diag(W[j - j0])
         try:
-            Gt = np.linalg.solve(A, -CUT[j0 : j0 + b])
+            # Woodbury: A_j^{-1} M = Y - Y (I + Om Z)^{-1} Om Z, Y = A^{-1} M, Z = U_B Y
+            Y = np.linalg.solve(A, M[:, :n2])
+            OZ = W[:, :, None] * (U[:n2] @ Y)
+            S = np.linalg.solve(np.eye(n2) + OZ, OZ.reshape(b, n2, b, 2)[k, :, k])
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"kernel system singular at an x index in {j0}..{j0 + b - 1}"
             ) from exc
-        GE[0, j0 : j0 + b] = Gt.transpose(0, 2, 1)
-        GE[1, j0 : j0 + b] = (A @ Gt + CUT[j0 : j0 + b]).transpose(0, 2, 1)
+        Gc = Y @ (S.transpose(1, 0, 2).reshape(n2, n2) - np.eye(n2))  # columns G_j^T
+        # E_j = A_j G_j^T + C U(x_j)^T by forward products, not through the inverse
+        Ec = A @ Gc + M[:, :n2] @ (np.repeat(W, 2, axis=0).T * (U[:n2] @ Gc) + np.eye(n2))
+        GE[0, j0 : j0 + b] = Gc.T.reshape(b, 2, R)
+        GE[1, j0 : j0 + b] = Ec.T.reshape(b, 2, R)
+        r = min(b, nx - 1 - j0)  # node j0 + r: the next block start, or the last node
+        A = A + (M * tw[r, : 2 * r + 2]) @ U
     Ut = UT.transpose(1, 0, 2).reshape(R, 2 * nx)  # columns U(t_i)^T
     KE = (GE.reshape(4 * nx, R) @ Ut).reshape(2, nx, 2, nx, 2)
     KE *= np.tri(nx)[:, None, :, None]  # keep t_i <= x_j
     residual = float(np.max(np.abs(KE[1])))
     K = KE[0].transpose(0, 2, 1, 3).copy()
-    return GLKernel(grid, K, residual, float(np.linalg.cond(A[-1])))
+    return GLKernel(grid, K, residual, float(np.linalg.cond(A)))
 
 
 def recover_potential(kernel: GLKernel) -> PotentialMatrix:

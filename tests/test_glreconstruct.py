@@ -7,6 +7,7 @@ import pytest
 from diracspec.core import BoundaryAngles, ContractError, Grid, SingularSystemError
 from diracspec.eigen import SpectralData, SpectralDatum
 from diracspec.glreconstruct import (
+    BLOCK,
     GLSeriesKernel,
     build_F,
     recover_potential,
@@ -66,6 +67,36 @@ def _dense_solve_gl(series, grid):
     return K
 
 
+def _per_node_solve_gl(series, grid):
+    """Reference rank-R collocation: one R x R system per node x_j.
+
+    Builds every node's A_j = I + C V_j from the running trapezoid Gram and
+    solves the nodes of a block in one batched call.  Returns K and the
+    condition number of the last node's system.
+    """
+    ns = series.ordered_indices()
+    lams = np.ravel([[series.target.items[n].lam, series.reference.items[n].lam] for n in ns])
+    c = np.ravel([[1.0 / series.target.items[n].a, -1.0 / np.pi] for n in ns])
+    ph = lams * grid.nodes[:, None] + series.target.angles.alpha
+    UT = np.stack([np.sin(ph), -np.cos(ph)], axis=2)  # U(x_j)^T, (nx, R, 2)
+    CUT = c[:, None] * UT
+    R, nx, blk = c.size, grid.m + 1, 8
+    carry = np.eye(R) - 0.5 * grid.h * (CUT[0] @ UT[0].T)
+    # row 0 sums a block with weight h; row 1 + j is node j's trapezoid row
+    W = grid.h * np.vstack([np.ones(blk), np.tri(blk) - 0.5 * np.eye(blk)])
+    G = np.empty((nx, 2, R))
+    for j0 in range(0, nx, blk):
+        b = min(blk, nx - j0)
+        P = CUT[j0 : j0 + b] @ UT[j0 : j0 + b].transpose(0, 2, 1)
+        S = (W[: b + 1, :b] @ P.reshape(b, R * R)).reshape(b + 1, R, R)
+        A = S[1:] + carry
+        carry += S[0]
+        G[j0 : j0 + b] = np.linalg.solve(A, -CUT[j0 : j0 + b]).transpose(0, 2, 1)
+    K = (G.reshape(2 * nx, R) @ UT.transpose(1, 0, 2).reshape(R, 2 * nx)).reshape(nx, 2, nx, 2)
+    K *= np.tri(nx)[:, None, :, None]
+    return K.transpose(0, 2, 1, 3), np.linalg.cond(A[-1])
+
+
 @pytest.mark.parametrize(
     "data, N, m",
     [
@@ -84,6 +115,45 @@ def test_solve_gl_matches_dense_collocation(data, N, m):
     scale = np.max(np.abs(K_ref)) or 1.0  # lattice data: F = 0 exactly, so K = 0
     assert np.max(np.abs(kernel.K - K_ref)) <= 1e-12 * scale
     assert kernel.residual < 1e-12
+
+
+@pytest.mark.parametrize(
+    "data, N, m",
+    [
+        (_perturbed_data(0.3, 0.1, 20), 20, 256),
+        (_rank_one_data(26, 2, -0.7), 26, 256),
+        (_perturbed_data(0.0, 0.0, 60), 60, 512),
+    ],
+    ids=["N20_m256", "N26_m256", "N60_m512"],
+)
+def test_solve_gl_matches_per_node_solve(data, N, m):
+    """The block updates against one R x R solve per node.  A wrong update
+    weight leaves the self-consistent residual at rounding level, so K is
+    checked against the oracle, not against the residual."""
+    grid = Grid(0.0, math.pi, m)
+    series = GLSeriesKernel.make(data, N)
+    kernel = solve_gl(series, grid)
+    K_ref, cond_ref = _per_node_solve_gl(series, grid)
+    assert np.max(np.abs(kernel.K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
+    assert kernel.residual < 1e-12
+    assert abs(kernel.condition - cond_ref) <= 1e-10 * cond_ref
+
+
+def test_solve_gl_factors_once_per_block(monkeypatch):
+    N, m = 32, 256
+    R = 2 * (2 * N + 1)
+    solve = np.linalg.solve
+    factored = []
+
+    def counted(a, b):
+        if a.shape[-1] == R:
+            factored.append(a.size // (R * R))
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    solve_gl(GLSeriesKernel.make(_perturbed_data(0.0, 0.0, N), N), Grid(0.0, math.pi, m))
+    # one R x R system per node would be m + 1 = 257 factorisations
+    assert 0 < sum(factored) <= 33
 
 
 def test_solve_gl_memory_is_blocked():
@@ -111,6 +181,22 @@ def test_solve_gl_singular_batch(monkeypatch):
     grid = Grid(0.0, math.pi, 128)
     series = GLSeriesKernel.make(_perturbed_data(0.0, 0.0, 8), 8)
     with pytest.raises(SingularSystemError):
+        solve_gl(series, grid)
+
+
+def test_solve_gl_singular_capacitance(monkeypatch):
+    solve = np.linalg.solve
+
+    def zero_last_batched_system(a, b):
+        if a.ndim == 3:
+            a = a.copy()
+            a[-1] = 0.0
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", zero_last_batched_system)
+    grid = Grid(0.0, math.pi, 128)
+    series = GLSeriesKernel.make(_perturbed_data(0.0, 0.0, 8), 8)
+    with pytest.raises(SingularSystemError, match=rf"in 0\.\.{BLOCK - 1}\b"):
         solve_gl(series, grid)
 
 

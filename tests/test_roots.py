@@ -12,6 +12,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
+from diracspec import eigen
 from diracspec.cauchy import propagate
 from diracspec.core import DiracError, Grid, PotentialMatrix
 from diracspec.eigen import _prufer_residual, char_function, find_eigenvalues
@@ -68,6 +69,29 @@ def test_two_term_potential_keeps_both_low_roots():
     lams = _certified_window(pot, 1.1570419521097026, 0.009039651621884692, -14, 14)
     assert np.count_nonzero(np.abs(lams + 1.0205) < 1e-3) == 1
     assert np.count_nonzero(np.abs(lams + 1.8293) < 1e-3) == 1
+
+
+@pytest.mark.parametrize("gamma", [-2.7067512859207605, -2.656662672627523])
+def test_converged_secant_step_is_not_bisected(monkeypatch, gamma):
+    """A secant step already below the target is kept on the forced-bisection
+    iteration (every 8th); bisecting it would cost two more sweeps."""
+    terms = [
+        ("p", 1, 1.674620641081488, 0.5063183088113389),
+        ("p", 0, 0.9474414099501245, 0.5133921377611709),
+        ("q", 3, 4.180046115157329, 0.6869783584662726),
+    ]
+    pot = _terms_potential(terms, 2048)
+    sweeps = []
+
+    def counted(*args):
+        sweeps.append(1)
+        return _prufer_residual(*args)
+
+    monkeypatch.setattr(eigen, "_prufer_residual", counted)
+    sample = eigen.evf(pot, gamma, beta=1.1941819496003263)
+    assert len(sweeps) == 8
+    lams = _certified_window(pot, sample.alpha, 1.1941819496003263, sample.m, sample.m)
+    assert abs(lams[1] - sample.value) < 1e-12
 
 
 @st.composite
