@@ -16,7 +16,6 @@ from .core import (
     SingularSystemError,
     Trajectory2,
     cumulative_c,
-    default_grid,
     inner_product,
     pauli_algebra_selftest,
     read_potential_csv,

@@ -13,7 +13,8 @@ two-point Gauss-Legendre sampling: the step matrix is the exact exponential of
 
     h*(A1 + A2)/2 + (sqrt(3) h^2 / 12) [A2, A1],
 
-evaluated in closed form for trace-free 2x2 matrices.  It is exact for
+evaluated, for that exponent M, as ch*I + sh*M with ch and sh power series in
+z = -det M, summed with scaling and squaring.  It is exact for
 constant coefficients (in particular for the zero potential at every
 lambda), which a plain Runge-Kutta step is not; that exactness is what lets
 eigenvalues of simple references be resolved to 1e-10 and beyond.
@@ -46,6 +47,7 @@ segment's whole turn.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -59,6 +61,12 @@ from .core import (
 )
 
 _SQRT3 = np.sqrt(3.0)
+# |z| above which _expm_tracefree scales and squares; a step that turns rays by
+# at most pi/2 (|mu| + |S| <= pi/2) has |z| = ||S|^2 - mu^2| <= (pi/2)^2
+_ZMAX = (0.5 * np.pi) ** 2
+# Taylor coefficients of ch and sh in z, 1/(2k)! and 1/(2k+1)!
+_CH = [1.0 / math.factorial(2 * k) for k in range(20)]
+_SH = [1.0 / math.factorial(2 * k + 1) for k in range(20)]
 # lambda-steps per block of a sweep
 _BLOCK = 4096
 # renormalisation threshold; a product of two factors below it cannot overflow
@@ -77,42 +85,27 @@ class FundamentalMatrix:
         return e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
 
 
-def _c_matrix(pot: PotentialMatrix, x: np.ndarray) -> np.ndarray:
-    """C(x) = B*Omega(x) = ((q, -p), (-p, -q)), stacked over x."""
-    p = pot.sample_p(x)
-    q = pot.sample_q(x)
-    out = np.empty(x.shape + (2, 2))
-    out[..., 0, 0] = q
-    out[..., 0, 1] = -p
-    out[..., 1, 0] = -p
-    out[..., 1, 1] = -q
-    return out
-
-
-# D = -B; [X, D] for 2x2 X computed explicitly where needed
-_D = np.array([[0.0, -1.0], [1.0, 0.0]])
-
-
 def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> np.ndarray:
     """Step exponents M = P + lambda*Q as planar entries (a, b, c) of (P, Q), shape (2, 3, m).
 
-    M is trace free, so M = ((a, b), (c, -a)).
+    M is trace free, so M = ((a, b), (c, -a)).  With C = ((q, -p), (-p, -q))
+    and D = ((0, -1), (1, 0)) both commutators are planar in closed form:
+    [C2, C1] = 2(p2 q1 - q2 p1) ((0, 1), (-1, 0)) and
+    [C2 - C1, D] = -2(q2 - q1) ((0, 1), (1, 0)) - 2(p2 - p1) diag(1, -1).
     """
     h = grid.h
     x0 = grid.nodes[:-1]
     g1 = x0 + h * (0.5 - _SQRT3 / 6.0)
     g2 = x0 + h * (0.5 + _SQRT3 / 6.0)
-    c1 = _c_matrix(pot, g1)
-    c2 = _c_matrix(pot, g2)
-    comm_cc = c2 @ c1 - c1 @ c2
-    dc = c2 - c1
-    comm_cd = dc @ _D - _D @ dc
-    w = _SQRT3 * h * h / 12.0
-    P = 0.5 * h * (c1 + c2) + w * comm_cc
-    Q = h * _D + w * comm_cd
+    p1, q1 = pot.sample_p(g1), pot.sample_q(g1)
+    p2, q2 = pot.sample_p(g2), pot.sample_q(g2)
+    w2 = _SQRT3 * h * h / 6.0  # twice the commutator weight sqrt(3) h^2 / 12
+    ps = -0.5 * h * (p1 + p2)
+    cc = w2 * (p2 * q1 - q2 * p1)
+    dq = w2 * (q2 - q1)
     return np.stack([
-        [P[:, 0, 0], P[:, 0, 1], P[:, 1, 0]],
-        [Q[:, 0, 0], Q[:, 0, 1], Q[:, 1, 0]],
+        [0.5 * h * (q1 + q2), ps + cc, ps - cc],
+        [-w2 * (p2 - p1), -h - dq, h - dq],
     ])
 
 
@@ -139,24 +132,32 @@ def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
 
 
 def _expm_tracefree(a, b, c):
-    """Entries of exp(((a, b), (c, -a))) via cosh/sinhc of s, s^2 = a^2 + bc."""
+    """Entries of exp(M), M = ((a, b), (c, -a)), as ch*I + sh*M.
+
+    M^2 = z*I with z = a^2 + bc, so ch = sum z^k/(2k)! and sh = sum z^k/(2k+1)!
+    are entire in z: one Horner sum serves real and complex z.  Past _ZMAX, z
+    is scaled by 4^-s and squared back.  s and the degree come from max|z|
+    over finite z only, so a non-finite z flows through as inf or nan.
+    """
     z = a * a + b * c
-    small = np.abs(z) < 1e-12
-    if np.iscomplexobj(z):
-        s = np.sqrt(z)
-        ch = np.cosh(s)
-        sh = np.sinh(s) / np.where(small, 1.0, s)
-    else:
-        # each entry evaluates only its branch: cosh/sinh for z >= 0, else cos/sin
-        r = np.sqrt(np.abs(z))
-        pos = z >= 0.0
-        neg = ~pos
-        ch = np.cosh(r, where=pos, out=np.empty_like(r))
-        np.cos(r, where=neg, out=ch)
-        sh = np.sinh(r, where=pos, out=np.empty_like(r))
-        np.sin(r, where=neg, out=sh)
-        sh /= np.where(small, 1.0, r)
-    sh = np.where(small, 1.0 + z / 6.0 + z * z / 120.0, sh)
+    az = np.abs(z)
+    zmax = float(np.max(az, initial=0.0))
+    if not math.isfinite(zmax):
+        zmax = float(np.max(az, where=np.isfinite(az), initial=0.0))
+    s = math.ceil(0.5 * math.log2(zmax / _ZMAX)) if zmax > _ZMAX else 0
+    zs, zmax = z * 0.25**s, zmax * 0.25**s
+    # n terms: the first dropped term of ch is below 1e-17, and n >= 2 lets a
+    # non-finite z reach the entries
+    n = next(k for k in range(2, len(_CH)) if zmax**k * _CH[k] < 1e-17)
+    ch = np.full_like(z, _CH[n - 1])
+    sh = np.full_like(z, _SH[n - 1])
+    for k in range(n - 2, -1, -1):
+        ch *= zs
+        ch += _CH[k]
+        sh *= zs
+        sh += _SH[k]
+    for _ in range(s):  # exp(2M) = exp(M)^2
+        ch, sh, zs = ch * ch + zs * sh * sh, ch * sh, 4.0 * zs
     return ch + sh * a, sh * b, sh * c, ch - sh * a
 
 

@@ -99,10 +99,6 @@ class Grid:
         return w
 
 
-def default_grid(b: float = np.pi, m: int = DEFAULT_M) -> Grid:
-    return Grid(0.0, b, m)
-
-
 @dataclass(frozen=True)
 class GridFunction:
     """Scalar samples on a grid."""
@@ -165,8 +161,8 @@ class PotentialMatrix:
             raise DomainError(f"non-finite potential sample at x={x}")
 
     @staticmethod
-    def zero(grid: Grid | None = None) -> "PotentialMatrix":
-        return PotentialMatrix(None, None, grid or default_grid())
+    def zero(grid: Grid) -> "PotentialMatrix":
+        return PotentialMatrix(None, None, grid)
 
     @staticmethod
     def from_samples(p: np.ndarray, q: np.ndarray, grid: Grid) -> "PotentialMatrix":

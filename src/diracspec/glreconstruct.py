@@ -5,7 +5,7 @@ From target data {lambda_n, a_n} and the unperturbed reference lattice
 kernel
 
     F(x, t) = sum_{|n| <= N} [ phi0(x, lambda_n) phi0^T(t, lambda_n)/a_n
-                             - phi0(x, lambda_n^0) phi0^T(t, lambda_n^0)/pi ],
+                             - phi0(x, lambda_n^0) phi0^T(t, lambda_n^0)/a_n^0 ],
 
 phi0(x, lambda) = (sin(lambda x + alpha), -cos(lambda x + alpha)) being the
 zero-potential Cauchy solutions.  The transformation kernel K solves
@@ -70,9 +70,9 @@ class GLSeriesKernel:
             ns = spec.ns()
             if not ns or ns[0] > -self.trunc or ns[-1] < self.trunc:
                 raise ContractError(f"{name} window does not cover [-N, N]")
-        for n in range(-self.trunc, self.trunc + 1):
-            if self.target.items[n].a is None or self.target.items[n].a <= 0:
-                raise ContractError(f"target a_{n} missing or nonpositive")
+            for n in range(-self.trunc, self.trunc + 1):
+                if spec.items[n].a is None or spec.items[n].a <= 0:
+                    raise ContractError(f"{name} a_{n} missing or nonpositive")
 
     @staticmethod
     def make(target: SpectralData, trunc: int) -> "GLSeriesKernel":
@@ -105,7 +105,7 @@ def build_F(series: GLSeriesKernel, x, t) -> np.ndarray:
         vx = _phi0(r.lam, alpha, xa)
         vt = _phi0(r.lam, alpha, ta)
         out += np.einsum("a...,b...->ab...", ux, ut) / d.a
-        out -= np.einsum("a...,b...->ab...", vx, vt) / np.pi
+        out -= np.einsum("a...,b...->ab...", vx, vt) / r.a
     if np.ndim(x) == 0 and np.ndim(t) == 0:
         return out[..., 0]
     return out
@@ -129,7 +129,7 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     """Solve the kernel equation by trapezoid collocation in rank-R form.
 
     F(x, t) = U(x) C U(t)^T with R = 2(2N + 1) columns phi0(., lambda_n),
-    C = diag(1/a_n, -1/pi) over target and reference pairs, so the
+    C = diag(1/a_n, -1/a_n^0) over target and reference pairs, so the
     collocated row is K(x_j, t_i) = G_j U(t_i)^T, i <= j, where
         G_j (I + V_j C) = -U(x_j) C,   V_j = sum_i w_i U(x_i)^T U(x_i),
     w the trapezoid weights on [0, x_j] (h/2 at both ends, zero at j = 0).
@@ -143,8 +143,9 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     if series.trunc * 8 > grid.m:
         raise ContractError("truncation too large for the grid: need N <= m/8")
     ns = series.ordered_indices()
-    lams = np.ravel([[series.target.items[n].lam, series.reference.items[n].lam] for n in ns])
-    c = np.ravel([[1.0 / series.target.items[n].a, -1.0 / np.pi] for n in ns])
+    tgt, ref = series.target.items, series.reference.items
+    lams = np.ravel([[tgt[n].lam, ref[n].lam] for n in ns])
+    c = np.ravel([[1.0 / tgt[n].a, -1.0 / ref[n].a] for n in ns])
     UT = _phi0(lams, series.target.angles.alpha, grid.nodes[:, None]).transpose(1, 2, 0)
     CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
     R = c.size

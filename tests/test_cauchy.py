@@ -34,13 +34,28 @@ def _const_exponential(lam, q0, x):
     return np.real(np.stack([c * y0[0] + r * My0[0], c * y0[1] + r * My0[1]]))
 
 
+def _max_abs_z(pot, g, lam):
+    """max |a^2 + bc| over the step exponents M = P + lam*Q of a sweep."""
+    from diracspec.cauchy import _step_coeffs
+
+    P, Q = _step_coeffs(pot, g)
+    a, b, c = P + lam * Q
+    return np.max(np.abs(a * a + b * c))
+
+
 def test_zero_potential_closed_form():
-    g = Grid(0.0, math.pi, 512)
-    lam, al = 1.7, 0.4
-    tr = solve_cauchy(PotentialMatrix.zero(g), lam, al)
-    x = g.nodes
-    assert np.max(np.abs(tr.y1 - np.sin(lam * x + al))) < 1e-10
-    assert np.max(np.abs(tr.y2 + np.cos(lam * x + al))) < 1e-10
+    from diracspec.cauchy import _ZMAX
+
+    al = 0.4
+    # the m = 64 case needs scaling and squaring in the step exponential
+    for m, lam, squared in ((512, 1.7, False), (64, 150.3, True)):
+        g = Grid(0.0, math.pi, m)
+        zero = PotentialMatrix.zero(g)
+        assert (_max_abs_z(zero, g, lam) > _ZMAX) == squared
+        tr = solve_cauchy(zero, lam, al)
+        x = g.nodes
+        assert np.max(np.abs(tr.y1 - np.sin(lam * x + al))) < 1e-10
+        assert np.max(np.abs(tr.y2 + np.cos(lam * x + al))) < 1e-10
 
 
 def test_zero_potential_constant_solution():
@@ -51,13 +66,18 @@ def test_zero_potential_constant_solution():
 
 
 def test_constant_potential_matrix_exponential():
-    q0, lam = 0.8, 1.3
-    g = Grid(0.0, math.pi, 1024)
-    pot = PotentialMatrix(None, lambda x: np.full_like(x, q0), g)
-    tr = solve_cauchy(pot, lam, 0.0)
-    ex = _const_exponential(lam, q0, g.nodes)
-    assert np.max(np.abs(tr.y1 - ex[0])) < 1e-9
-    assert np.max(np.abs(tr.y2 - ex[1])) < 1e-9
+    from diracspec.cauchy import _ZMAX
+
+    q0 = 0.8
+    # the m = 64 case needs scaling and squaring in the step exponential
+    for m, lam, squared in ((1024, 1.3, False), (64, 149.7, True)):
+        g = Grid(0.0, math.pi, m)
+        pot = PotentialMatrix(None, lambda x: np.full_like(x, q0), g)
+        assert (_max_abs_z(pot, g, lam) > _ZMAX) == squared
+        tr = solve_cauchy(pot, lam, 0.0)
+        ex = _const_exponential(lam, q0, g.nodes)
+        assert np.max(np.abs(tr.y1 - ex[0])) < 1e-9
+        assert np.max(np.abs(tr.y2 - ex[1])) < 1e-9
 
 
 def test_terminal_zero_potential():
@@ -173,6 +193,91 @@ def test_complex_lambda_matches_real():
     tr_c = solve_cauchy(pot, 1.5 + 0j, 0.0)
     assert np.max(np.abs(tr_r.y1 - np.real(tr_c.y1))) < 1e-12
     assert np.max(np.abs(np.imag(np.asarray(tr_c.y1)))) < 1e-12
+
+
+def _matrix_magnus_coeffs(pot, grid):
+    """Step table from stacked 2x2 matrices and their commutators (oracle)."""
+    h = grid.h
+    x0 = grid.nodes[:-1]
+
+    def c_matrix(x):  # C = B*Omega = ((q, -p), (-p, -q))
+        p, q = pot.sample_p(x), pot.sample_q(x)
+        return np.stack([np.stack([q, -p], -1), np.stack([-p, -q], -1)], -2)
+
+    c1 = c_matrix(x0 + h * (0.5 - math.sqrt(3.0) / 6.0))
+    c2 = c_matrix(x0 + h * (0.5 + math.sqrt(3.0) / 6.0))
+    D = np.array([[0.0, -1.0], [1.0, 0.0]])
+    w = math.sqrt(3.0) * h * h / 12.0
+    P = 0.5 * h * (c1 + c2) + w * (c2 @ c1 - c1 @ c2)
+    Q = h * D + w * ((c2 - c1) @ D - D @ (c2 - c1))
+    return np.stack([[M[:, 0, 0], M[:, 0, 1], M[:, 1, 0]] for M in (P, Q)])
+
+
+def _branch_expm(a, b, c):
+    """exp(((a, b), (c, -a))) via cosh/sinhc of s, s^2 = a^2 + bc, by branches (oracle)."""
+    z = a * a + b * c
+    small = np.abs(z) < 1e-12
+    if np.iscomplexobj(z):
+        s = np.sqrt(z)
+        ch = np.cosh(s)
+        sh = np.sinh(s) / np.where(small, 1.0, s)
+    else:
+        # each entry evaluates only its branch: cosh/sinh for z >= 0, else cos/sin
+        r = np.sqrt(np.abs(z))
+        pos = z >= 0.0
+        neg = ~pos
+        ch = np.cosh(r, where=pos, out=np.empty_like(r))
+        np.cos(r, where=neg, out=ch)
+        sh = np.sinh(r, where=pos, out=np.empty_like(r))
+        np.sin(r, where=neg, out=sh)
+        sh /= np.where(small, 1.0, r)
+    sh = np.where(small, 1.0 + z / 6.0 + z * z / 120.0, sh)
+    return ch + sh * a, sh * b, sh * c, ch - sh * a
+
+
+def test_planar_step_table_matches_matrix_commutators():
+    from diracspec.cauchy import _magnus_coeffs
+
+    rng = np.random.default_rng(11)
+    g = Grid(0.0, 2.0, 300)
+    pot = PotentialMatrix(5.0 * rng.standard_normal(301), 5.0 * rng.standard_normal(301), g)
+    got, ref = _magnus_coeffs(pot, g), _matrix_magnus_coeffs(pot, g)
+    for k in range(2):  # P and Q, each against its own largest entry
+        assert np.max(np.abs(got[k] - ref[k])) <= 1e-14 * np.max(np.abs(ref[k]))
+
+
+@pytest.mark.parametrize("zmax", [2.0, 400.0])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_series_exponential_matches_branch_closed_form(zmax, cplx):
+    """One call mixes |z| up to zmax, both signs (real) or all phases (complex);
+    each exponential is checked against its own largest entry."""
+    from diracspec.cauchy import _ZMAX, _expm_tracefree
+
+    rng = np.random.default_rng(5)
+    n = 4000
+    a, b, c = (rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0.0)
+               for _ in range(3))
+    # scale step i by a common factor so that |z_i| <= a log-uniform bound in [1e-16, zmax]
+    bound = np.exp(rng.uniform(math.log(1e-16), math.log(zmax), n))
+    f = np.sqrt(bound / np.max(np.abs(a * a + b * c)))
+    a, b, c = a * f, b * f, c * f
+    got = np.stack(_expm_tracefree(a, b, c))
+    ref = np.stack(_branch_expm(a, b, c))
+    assert (np.max(np.abs(a * a + b * c)) > _ZMAX) == (zmax > 100)
+    assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
+def test_non_finite_exponents_flow_through():
+    """lambda = 1e200 overflows z = a^2 + bc: that column turns non-finite and
+    the other column of the batch is the plain sweep's."""
+    g, pot = _sin_pot(1000)
+    y0 = np.array([0.3, -0.9])
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = propagate(pot, g, np.array([1e200, 1.0]), y0)
+        alone = propagate(pot, g, np.array([1e200]), y0)
+    one = propagate(pot, g, np.array([1.0]), y0)
+    assert not np.all(np.isfinite(both[:, 0])) and not np.all(np.isfinite(alone))
+    np.testing.assert_array_equal(both[:, 1], one[:, 0])
 
 
 def _sin_pot(m):

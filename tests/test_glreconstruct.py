@@ -206,6 +206,18 @@ def test_F_vanishes_for_reference_data():
         assert np.max(np.abs(build_F(series, x, t))) < 1e-13
 
 
+def test_reference_norming_constants_are_read():
+    """Target and reference both the lattice with a_n = 2 pi: F and K vanish."""
+    data = _lattice_data(0.3, 0.1, 8, a=2.0 * math.pi)
+    series = GLSeriesKernel(data, data, 8)
+    xs = np.linspace(0.0, math.pi, 9)
+    assert np.max(np.abs(build_F(series, xs[:, None], xs[None, :]))) < 1e-13
+    assert np.max(np.abs(solve_gl(series, Grid(0.0, math.pi, 128)).K)) < 1e-12
+    bare = _lattice_data(0.3, 0.1, 8, a=None)
+    with pytest.raises(ContractError, match="reference a_"):
+        GLSeriesKernel(data, bare, 8)
+
+
 def test_F_rank_one_closed_form():
     m, t0 = 0, 0.8
     series = GLSeriesKernel.make(_rank_one_data(10, m, t0), 10)
