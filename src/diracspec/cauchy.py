@@ -22,31 +22,32 @@ eigenvalues of simple references be resolved to 1e-10 and beyond.
 Both coefficient matrices of a step are affine in lambda, so the lambda-free
 parts are precomputed once per (potential, grid) and every sweep is
 vectorized over a whole batch of lambda values.  The grid is walked in
-blocks of about 4096 lambda-steps, which bounds the working set at any batch
-size.  The step exponentials of a block are built at once and, the step
-product being associative, combined without a per-step loop:
+blocks of about 16384 lambda-steps, under 2 MB of live temporaries, which
+bounds the working set at any batch size.  The step exponentials of a block
+are built at once as one (2, 2, steps, K) stack and, the step product being
+associative, combined without a per-step loop:
 
-* an endpoint sweep collapses each block by pairwise (tree) products and
-  applies the block product to the running state;
-* a renormalised sweep does the same, but divides every product of every
-  tree level, and the state after every block, by its largest entry once
-  that exceeds 1e100.  The factor is positive, so signs and ratios -- all a
-  caller of a stiff half-axis sweep reads -- survive without overflow;
-* a stored sweep takes the inclusive prefix products of each block
-  (Hillis-Steele rounds) and applies them to the state, giving every node.
+* pairwise (tree) rounds multiply neighbouring factors, halving the stack;
+* an odd-even scan then gives the state after every remaining factor: pair
+  products halve the stack, the recursion gives the state after every pair,
+  and one more factor each the states in between, about n products and n
+  applications for n factors.  An endpoint sweep scans its block product
+  alone, a stored sweep every step, straight into the node history;
+* a renormalised sweep divides every pair product and every state by its
+  largest entry once that exceeds 1e100: a positive factor, so signs and
+  ratios -- all a caller of a stiff half-axis sweep reads -- survive.
 
 An endpoint sweep, renormalised or not, can also lift the angle Theta of
 y = r(sin Theta, -cos Theta).  A step exp(M), M = ((a, b), (c, -a)), turns
 every ray by mu = (c - b)/2 within +-|S| = hypot(a, (b + c)/2); for
 M = P + lambda*Q, mu is mu(P) + lambda*h and |S| <= |S(P)| + |lambda| |S(Q)|.
-Its trees stop at segments whose bounds sum to at most pi/2; a prefix scan
-gives the state at every segment end, where one arctan2 per lambda fixes the
+Its trees stop at segments whose bounds sum to at most pi/2; the scan gives
+the state at every segment end, where one arctan2 per lambda fixes the
 segment's whole turn.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -64,11 +65,10 @@ _SQRT3 = np.sqrt(3.0)
 # |z| above which _expm_tracefree scales and squares; a step that turns rays by
 # at most pi/2 (|mu| + |S| <= pi/2) has |z| = ||S|^2 - mu^2| <= (pi/2)^2
 _ZMAX = (0.5 * np.pi) ** 2
-# Taylor coefficients of ch and sh in z, 1/(2k)! and 1/(2k+1)!
-_CH = [1.0 / math.factorial(2 * k) for k in range(20)]
-_SH = [1.0 / math.factorial(2 * k + 1) for k in range(20)]
-# lambda-steps per block of a sweep
-_BLOCK = 4096
+# Taylor coefficients (1/(2k)!, 1/(2k+1)!) of ch and sh in z, one row per degree k
+_CS = np.array([[1.0 / math.factorial(2 * k + j) for j in (0, 1)] for k in range(20)])
+# lambda-steps per block of a sweep: under 2 MB of live temporaries, about one L2 cache
+_BLOCK = 16384
 # renormalisation threshold; a product of two factors below it cannot overflow
 _HUGE = 1e100
 
@@ -117,114 +117,119 @@ def _step_coeffs(pot: PotentialMatrix, grid: Grid):
     return tables[grid]
 
 
-def _turn_data(coeffs):
-    """Per-step rotation rates (mu(P), mu(Q)) and turn bounds |mu(P)| + |S(P)|, |S(Q)|."""
-    a, b, c = coeffs[:, 0], coeffs[:, 1], coeffs[:, 2]
-    mu = 0.5 * (c - b)
-    s = np.hypot(a, 0.5 * (b + c))
-    return mu, np.abs(mu[0]) + s[0], s[1]
+def _turn_data(pot: PotentialMatrix, grid: Grid):
+    """Per-step rotation rates (mu(P), mu(Q)) and turn bounds, kept like _step_coeffs."""
+    tables = pot.__dict__.setdefault("_turn_tables", {})
+    if grid not in tables:
+        a, b, c = _step_coeffs(pot, grid).swapaxes(0, 1)
+        mu = 0.5 * (c - b)
+        s = np.hypot(a, 0.5 * (b + c))
+        tables[grid] = mu, np.abs(mu[0]) + s[0], s[1]
+    return tables[grid]
 
 
 def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
     """(W0, W1) with |Theta(b) - Theta(a) - lambda*(b - a)| <= W0 + |lambda| W1 at real lambda."""
-    mu, d_p, d_q = _turn_data(_step_coeffs(pot, grid))
+    mu, d_p, d_q = _turn_data(pot, grid)
     return float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu[1]) - (grid.b - grid.a)))
 
 
 def _expm_tracefree(a, b, c):
-    """Entries of exp(M), M = ((a, b), (c, -a)), as ch*I + sh*M.
+    """exp(M) = ch*I + sh*M, M = ((a, b), (c, -a)), as one (4, ...) array: 00, 01, 10, 11.
 
     M^2 = z*I with z = a^2 + bc, so ch = sum z^k/(2k)! and sh = sum z^k/(2k+1)!
-    are entire in z: one Horner sum serves real and complex z.  Past _ZMAX, z
-    is scaled by 4^-s and squared back.  s and the degree come from max|z|
-    over finite z only, so a non-finite z flows through as inf or nan.
+    are entire in z: one Horner sum each serves real and complex z.  Past
+    _ZMAX, each z is scaled by its own exact 4^-s and squared back s times; a
+    non-finite z keeps s = 0 and flows through as inf or nan.  The degree
+    comes from the largest finite scaled |z|.
     """
-    z = a * a + b * c
+    z = a * a
+    z += b * c
     az = np.abs(z)
     zmax = float(np.max(az, initial=0.0))
     if not math.isfinite(zmax):
-        zmax = float(np.max(az, where=np.isfinite(az), initial=0.0))
-    s = math.ceil(0.5 * math.log2(zmax / _ZMAX)) if zmax > _ZMAX else 0
-    zs, zmax = z * 0.25**s, zmax * 0.25**s
+        az = np.where(np.isfinite(az), az, 0.0)
+        zmax = float(np.max(az, initial=0.0))
+    s = smax = 0
+    if zmax > _ZMAX:
+        s = np.ceil(0.5 * np.log2(np.maximum(az, _ZMAX) / _ZMAX)).astype(int)
+        scale, smax = np.ldexp(1.0, -2 * s), int(np.max(s))
+        z, zmax = z * scale, float(np.max(az * scale))
+    del az  # one array fewer alive: ch and sh are summed in place, in E[3] and E[1]
     # n terms: the first dropped term of ch is below 1e-17, and n >= 2 lets a
     # non-finite z reach the entries
-    n = next(k for k in range(2, len(_CH)) if zmax**k * _CH[k] < 1e-17)
-    ch = np.full_like(z, _CH[n - 1])
-    sh = np.full_like(z, _SH[n - 1])
-    for k in range(n - 2, -1, -1):
-        ch *= zs
-        ch += _CH[k]
-        sh *= zs
-        sh += _SH[k]
-    for _ in range(s):  # exp(2M) = exp(M)^2
-        ch, sh, zs = ch * ch + zs * sh * sh, ch * sh, 4.0 * zs
-    return ch + sh * a, sh * b, sh * c, ch - sh * a
+    n = next(k for k in range(2, len(_CS)) if zmax**k * _CS[k, 0] < 1e-17)
+    E = np.empty((4,) + z.shape, dtype=z.dtype)
+    ch, sh = E[3], E[1]
+    np.multiply(z, _CS[n - 1, 0], out=ch)
+    np.multiply(z, _CS[n - 1, 1], out=sh)
+    ch += _CS[n - 2, 0]
+    sh += _CS[n - 2, 1]
+    for k in range(n - 3, -1, -1):
+        ch *= z
+        ch += _CS[k, 0]
+        sh *= z
+        sh += _CS[k, 1]
+    for k in range(smax):  # exp(2M) = exp(M)^2 where s > k
+        sq = s > k
+        ch[...], sh[...] = np.where(sq, ch * ch + z * sh * sh, ch), np.where(sq, ch * sh, sh)
+        z = np.where(sq, 4.0 * z, z)
+    sa = sh * a
+    np.add(ch, sa, out=E[0])
+    np.multiply(sh, c, out=E[2])
+    np.subtract(ch, sa, out=ch)
+    np.multiply(sh, b, out=sh)
+    return E
 
 
-def _mul(x, y):
-    """Planar 2x2 products x @ y; each operand is a sequence (00, 01, 10, 11) of stacks."""
-    x00, x01, x10, x11 = x
-    y00, y01, y10, y11 = y
-    return (
-        x00 * y00 + x01 * y10,
-        x00 * y01 + x01 * y11,
-        x10 * y00 + x11 * y10,
-        x10 * y01 + x11 * y11,
-    )
-
-
-def _apply(T, y):
-    """Planar 2x2 stacks T applied to the state y = (y1, y2)."""
-    return T[0] * y[0] + T[1] * y[1], T[2] * y[0] + T[3] * y[1]
+def _mul(x, y, out=None):
+    """Stacked 2x2 products x @ y of (2, 2, ...) arrays; y may be a (2, 1, ...) column."""
+    out = np.multiply(x[:, 0, None], y[0], out=out)
+    out += x[:, 1, None] * y[1]
+    return out
 
 
 def _rescale(x):
-    """Divide the stacked entries x by their largest modulus where that exceeds _HUGE."""
-    big = functools.reduce(np.maximum, [np.abs(e) for e in x])
+    """Divide the stacked 2x2 entries x by their largest modulus where that exceeds _HUGE."""
+    big = np.abs(x).max(axis=(0, 1))
     mask = big > _HUGE
-    if not np.any(mask):
-        return x
-    scale = np.where(mask, big, 1.0)
-    return tuple(e / scale for e in x)
+    return x / np.where(mask, big, 1.0) if mask.any() else x
 
 
 def _tree_product(E, renorm: bool, rounds: int):
-    """Pairwise products of planar stacks E along the leading axis, `rounds` times.
+    """Pairwise products of the (2, 2, n, K) stack E along axis 2, `rounds` times.
 
     Each round halves the stack and an odd last factor moves to the next round
     unchanged, so after r rounds entry i is the ordered product of factors
     [i 2^r, (i+1) 2^r); enough rounds leave the whole product E[n-1] ... E[0].
     """
     for _ in range(rounds):
-        n = E[0].shape[0]
+        n = E.shape[2]
         if n == 1:
             break
-        n2 = n - n % 2
-        P = _mul([e[1:n2:2] for e in E], [e[0:n2:2] for e in E])
+        P = _mul(E[:, :, 1::2], E[:, :, 0 : n - 1 : 2])
         if renorm:
             P = _rescale(P)
-        if n2 < n:
-            P = tuple(np.concatenate([p, e[n2:]]) for p, e in zip(P, E))
-        E = P
+        E = np.concatenate([P, E[:, :, n - 1 :]], axis=2) if n % 2 else P
     return E
 
 
-def _prefix_products(E, renorm: bool):
-    """Inclusive prefix products E[k] ... E[0] along the leading axis, in place.
+def _scan(E, Y, renorm: bool):
+    """Fill the (2, 1, n+1, K) states Y[:, :, k+1] = E[k] ... E[0] Y[:, :, 0] in place.
 
-    Hillis-Steele scan: after the round with offset d, entry k holds the
-    product of factors max(0, k - 2d + 1) .. k, rescaled by _rescale if renorm.
+    Odd-even scan: the pair products E[2j+1] E[2j] halve the stack, the
+    recursion fills the state after every pair (the even slots), and one more
+    factor each gives the odd slots: about n products and n applications.
+    Under renorm the pair products and the new states are rescaled.
     """
-    n = E[0].shape[0]
-    d = 1
-    while d < n:
-        P = _mul([e[d:] for e in E], [e[:-d] for e in E])
-        if renorm:
-            P = _rescale(P)
-        for e, p in zip(E, P):
-            e[d:] = p
-        d *= 2
-    return E
+    n = E.shape[2]
+    if n > 1:
+        P = _mul(E[:, :, 1::2], E[:, :, 0 : n - 1 : 2])
+        _scan(_rescale(P) if renorm else P, Y[:, :, ::2], renorm)
+    if renorm:
+        Y[:, :, 1::2] = _rescale(_mul(E[:, :, ::2], Y[:, :, 0:n:2]))
+    else:
+        _mul(E[:, :, ::2], Y[:, :, 0:n:2], out=Y[:, :, 1::2])
 
 
 def propagate(
@@ -260,58 +265,54 @@ def propagate(
     if angle and (store or cplx):
         raise DiracError("the angle lift needs an endpoint sweep at real lambda")
     dtype = complex if cplx else float
-    y0 = np.asarray(y0, dtype=dtype)
-    if y0.ndim == 1:
-        y0 = np.repeat(y0[:, None], K, axis=1)
-    y = (y0[0], y0[1])
+    y0 = np.broadcast_to(np.asarray(y0, dtype=dtype).reshape(2, -1), (2, K))
     m = grid.m
-    coeffs = _step_coeffs(pot, grid)
-    P, Q = coeffs
     step = 1 if direction > 0 else -1
+    coeffs = _step_coeffs(pot, grid)
+    P, Q = (coeffs if step > 0 else -coeffs)[..., None]  # exact: backward steps are exp(-M)
     block = max(8, _BLOCK // max(K, 1))
     blocks = [(s, min(s + block, m)) for s in range(0, m, block)][::step]
     # tree rounds per block: none keeps every step, m leaves the block product
     rounds = 0 if store else m
     if angle:
-        mu, d_p, d_q = _turn_data(coeffs)
+        mu, d_p, d_q = _turn_data(pot, grid)
         rounds = _lift_rounds(d_p + np.max(np.abs(lam), initial=0.0) * d_q)
         mu = step * mu
-        theta, turns = np.arctan2(y[0], -y[1]), np.zeros(K)
+        theta, turns = np.arctan2(y0[0], -y0[1]), np.zeros(K)
+    # states are (2, 1, nodes, K) columns; a stored sweep scans into its history
+    y = y0[:, None, None]
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
-        node0 = 0 if direction > 0 else m
-        Y[0, :, node0], Y[1, :, node0] = y
+        Y[:, :, 0 if step > 0 else m] = y0
+        H = Y.swapaxes(1, 2)[:, None]
 
     for s, e in blocks:
-        a, b, c = step * (P[:, s:e, None] + Q[:, s:e, None] * lam)
-        E = tuple(x[::step] for x in _expm_tracefree(a, b, c))
+        E = _expm_tracefree(*(Q[:, s:e] * lam + P[:, s:e]))
+        T = _tree_product(E[:, ::step].reshape(2, 2, e - s, K), renorm, rounds)
+        if store:
+            ys = H[:, :, s : e + 1][:, :, ::step]
+        else:
+            ys = np.empty((2, 1, T.shape[2] + 1, K), dtype=dtype)
+            ys[:, :, :1] = y
         # the state at every segment end, scaled by positive factors if renorm
-        ys = _apply(_prefix_products(_tree_product(E, renorm, rounds), renorm), y)
-        if renorm:
-            ys = _rescale(ys)
+        _scan(T, ys, renorm)
         if angle:
             # each segment turns every ray by rot within +-pi/2: lift exactly
             seg = np.arange(0, e - s, 2**rounds)
             mp, mq = np.add.reduceat(mu[:, s:e][:, ::step], seg, axis=1)[..., None]
-            new = np.arctan2(ys[0], -ys[1])
+            new = np.arctan2(ys[0, 0, 1:], -ys[1, 0, 1:])
             # rot minus each segment's principal difference, end minus start
             slip = mp + mq * lam - new
             slip[0] += theta
             slip[1:] += new[:-1]
             turns += np.round(slip / (2.0 * np.pi)).sum(axis=0)
             theta = new[-1]
-        if store:
-            if direction > 0:
-                Y[0, :, s + 1 : e + 1], Y[1, :, s + 1 : e + 1] = ys[0].T, ys[1].T
-            else:
-                Y[0, :, s:e], Y[1, :, s:e] = ys[0][::-1].T, ys[1][::-1].T
-        y = (ys[0][-1], ys[1][-1])
+        y = ys[:, :, -1:]
 
     if store:
         return Y
-    if angle:
-        return np.stack(y), theta + 2.0 * np.pi * turns
-    return np.stack(y)
+    y = y[:, 0, 0].copy()
+    return (y, theta + 2.0 * np.pi * turns) if angle else y
 
 
 def _lift_rounds(d):
@@ -358,12 +359,8 @@ def fundamental_matrix(pot: PotentialMatrix, lam) -> FundamentalMatrix:
     grid = pot.domain
     lam2 = np.array([lam, lam])
     Y = propagate(pot, grid, lam2, np.array([[1.0, 0.0], [0.0, 1.0]]), store=True)
-    ent = np.empty((grid.m + 1, 2, 2), dtype=Y.dtype)
-    ent[:, 0, 0] = Y[0, 0]
-    ent[:, 1, 0] = Y[1, 0]
-    ent[:, 0, 1] = Y[0, 1]
-    ent[:, 1, 1] = Y[1, 1]
-    return FundamentalMatrix(grid, ent)
+    # entry (i, j) at node x is component i of the solution from e_j
+    return FundamentalMatrix(grid, np.ascontiguousarray(Y.transpose(2, 0, 1)))
 
 
 def wronskian(phi: Trajectory2, u: Trajectory2):

@@ -11,6 +11,7 @@ violations reported by the library.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -324,6 +325,7 @@ def _add_common(sp, out_required=True):
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
+@functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="diracspec", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -300,23 +301,65 @@ def test_endpoint_matches_stored_sweep(K, direction, cplx):
 
 @pytest.mark.parametrize("direction", [1, -1])
 def test_stored_sweep_matches_stepwise_reference(direction):
-    """Node history against a plain loop over the same step exponentials."""
+    """Node history against a plain loop over the same step exponentials.
+
+    At K = 257 a block holds 63 steps, so m = 64 and 65 end in blocks of 1
+    and 2 steps, and m = 300 and 1000 in odd ones; m = 1, 2, 3 and 17 are one
+    short block each."""
     from diracspec.cauchy import _expm_tracefree, _step_coeffs
 
-    g, pot = _sin_pot(300)
-    lam = np.array([-4.0, 0.5, 11.0])
-    y = np.array([[0.3] * 3, [-0.9] * 3])
-    Y = propagate(pot, g, lam, y[:, 0], direction=direction, store=True)
-    P, Q = _step_coeffs(pot, g)
-    ref = np.empty_like(Y)
-    steps = range(g.m) if direction > 0 else range(g.m - 1, -1, -1)
-    ref[:, :, 0 if direction > 0 else g.m] = y
-    for i in steps:
-        a, b, c = direction * (P[:, i, None] + Q[:, i, None] * lam)
-        e00, e01, e10, e11 = _expm_tracefree(a, b, c)
-        y = np.array([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1]])
-        ref[:, :, i + 1 if direction > 0 else i] = y
-    assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref))
+    for m in (1, 2, 3, 17, 64, 65, 300, 1000):
+        g, pot = _sin_pot(m)
+        P, Q = _step_coeffs(pot, g)
+        for K, cplx in itertools.product((1, 3, 7, 257), (False, True)):
+            lam = np.linspace(-4.0, 11.0, K) + (0.7j if cplx else 0.0)
+            y = np.array([[0.3] * K, [-0.9] * K], dtype=lam.dtype)
+            Y = propagate(pot, g, lam, y[:, 0], direction=direction, store=True)
+            ref = np.empty_like(Y)
+            steps = range(g.m) if direction > 0 else range(g.m - 1, -1, -1)
+            ref[:, :, 0 if direction > 0 else g.m] = y
+            for i in steps:
+                a, b, c = direction * (P[:, i, None] + Q[:, i, None] * lam)
+                e00, e01, e10, e11 = _expm_tracefree(a, b, c)
+                y = np.array([e00 * y[0] + e01 * y[1], e10 * y[0] + e11 * y[1]])
+                ref[:, :, i + 1 if direction > 0 else i] = y
+            assert np.max(np.abs(Y - ref)) <= 1e-12 * np.max(np.abs(ref)), (m, K, cplx)
+
+
+def _planar_mul(x, y):
+    """2x2 products of planar stacks (00, 01, 10, 11), entry by entry (oracle)."""
+    x00, x01, x10, x11 = x
+    y00, y01, y10, y11 = y
+    return (x00 * y00 + x01 * y10, x00 * y01 + x01 * y11,
+            x10 * y00 + x11 * y10, x10 * y01 + x11 * y11)
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_stacked_products_match_planar_bit_for_bit(cplx):
+    """The (2, 2, n, K) product and its (2, 1, n, K) state application make the
+    same scalar operations in the same order as the planar formulas."""
+    from diracspec.cauchy import _mul
+
+    rng = np.random.default_rng(3)
+    draw = lambda *shape: rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0.0)
+    x, y, v = draw(2, 2, 9, 5), draw(2, 2, 9, 5), draw(2, 1, 9, 5)
+    planar = _planar_mul(x.reshape(4, 9, 5), y.reshape(4, 9, 5))
+    np.testing.assert_array_equal(_mul(x, y), np.reshape(planar, (2, 2, 9, 5)))
+    applied = _mul(x, v)
+    np.testing.assert_array_equal(applied[0, 0], x[0, 0] * v[0, 0] + x[0, 1] * v[1, 0])
+    np.testing.assert_array_equal(applied[1, 0], x[1, 0] * v[0, 0] + x[1, 1] * v[1, 0])
+
+
+@pytest.mark.parametrize("big", [1e3, 1e6, 1e20])
+def test_large_lambda_leaves_other_columns_alone(big):
+    """Each exponent is scaled and squared on its own: a column of large
+    |lambda| h in the batch does not move the lambda = 1 column."""
+    g, pot = _sin_pot(1000)
+    y0 = np.array([0.3, -0.9])
+    one = propagate(pot, g, np.array([1.0]), y0)[:, 0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        both = propagate(pot, g, np.array([big, 1.0]), y0)
+    assert np.max(np.abs(both[:, 1] - one)) <= 1e-14  # |one| is about 8.5
 
 
 def test_renorm_keeps_ratio():
@@ -456,6 +499,18 @@ def test_lifted_renorm_sweep_builds_each_block_once(monkeypatch):
     plain = len(calls)
     propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
     assert plain == len(calls) - plain == 1
+
+
+def test_turn_data_kept_with_the_step_table():
+    """A lifted sweep reads its turn bounds from the potential's per-grid tables."""
+    from diracspec.cauchy import _turn_data
+
+    g, pot = _sin_pot(64)
+    propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), angle=True)
+    data = _turn_data(pot, g)
+    propagate(pot, g, np.array([2.0]), np.array([0.0, -1.0]), angle=True)
+    assert _turn_data(pot, g) is data
+    assert _turn_data(pot, Grid(0.0, math.pi, 128)) is not data
 
 
 def test_step_tables_die_with_the_potential():

@@ -104,3 +104,28 @@ def test_check_suite_passes(capsys):
     assert _run(["check"]) == 0
     text = capsys.readouterr().out
     assert "FAIL" not in text
+
+
+def test_append_options_do_not_leak_between_calls(tmp_path):
+    """The parser is built once per process; --shift and --gamma lists stay per call."""
+    cfgs = []
+    for i, (shift, gammas) in enumerate(((["1=0.5", "2=0.25"], [0.5, -0.5]), (["3=0.1"], [1.0]))):
+        iso, ev = tmp_path / f"iso{i}.csv", tmp_path / f"evf{i}.csv"
+        argv = ["isospectral", "--grid", 256, "--out", iso]
+        assert _run(argv + [a for s in shift for a in ("--shift", s)]) == 0
+        argv = ["evf", "--grid", 256, "--out", ev]
+        assert _run(argv + [a for g in gammas for a in ("--gamma", g)]) == 0
+        cfgs.append((json.loads((tmp_path / f"iso{i}.csv.config.json").read_text()),
+                     json.loads((tmp_path / f"evf{i}.csv.config.json").read_text())))
+        assert cfgs[-1][0]["shift"] == shift and cfgs[-1][1]["gamma"] == gammas
+
+
+def test_parser_survives_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit):
+        main(["evf", "--grid", "256", "--out", str(tmp_path / "bad.csv")])  # no --gamma
+    capsys.readouterr()
+    out = tmp_path / "spec.json"
+    assert _run(["spectrum", "--grid", 256, "--nmin", -1, "--nmax", 1, "--out", out]) == 0
+    cfg = json.loads((tmp_path / "spec.json.config.json").read_text())
+    assert (cfg["cmd"], cfg["grid"], cfg["nmin"], cfg["nmax"]) == ("spectrum", 256, -1, 1)
+    assert [rec["n"] for rec in json.loads(out.read_text())["items"]] == [-1, 0, 1]
