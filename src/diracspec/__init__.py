@@ -64,7 +64,6 @@ from .isospectral import (
 from .glreconstruct import (
     GLKernel,
     GLSeriesKernel,
-    build_F,
     recover_potential,
     reconstruct,
     solve_gl,

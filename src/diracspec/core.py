@@ -278,14 +278,10 @@ def cumtrapz0(values: np.ndarray, h: float) -> np.ndarray:
 
 
 def write_potential_csv(pot: PotentialMatrix, path: str) -> None:
-    g = pot.domain
-    x = g.nodes
-    p = pot.sample_p(x)
-    q = pot.sample_q(x)
+    x = pot.domain.nodes
+    rows = zip(x.tolist(), pot.sample_p(x).tolist(), pot.sample_q(x).tolist())
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,p,q\n")
-        for xi, pi, qi in zip(x, p, q):
-            fh.write(f"{xi:.17g},{pi:.17g},{qi:.17g}\n")
+        fh.write("x,p,q\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows))
 
 
 def read_potential_csv(path: str) -> PotentialMatrix:
@@ -294,14 +290,12 @@ def read_potential_csv(path: str) -> PotentialMatrix:
         header = next(reader, None)
         if header != ["x", "p", "q"]:
             raise DiracError(f"bad CSV header {header!r}, expected ['x', 'p', 'q']")
-        rows = [(float(r[0]), float(r[1]), float(r[2])) for r in reader if r]
+        rows = np.array([r[:3] for r in reader if r], dtype=float)
     if len(rows) < 2:
         raise DiracError("potential CSV needs at least two rows")
-    x = np.array([r[0] for r in rows])
+    x = rows[:, 0]
     h = np.diff(x)
     if not np.allclose(h, h[0], rtol=1e-9, atol=1e-12):
         raise DiracError("potential CSV nodes must be uniformly spaced")
     grid = Grid(float(x[0]), float(x[-1]), len(rows) - 1)
-    return PotentialMatrix.from_samples(
-        np.array([r[1] for r in rows]), np.array([r[2] for r in rows]), grid
-    )
+    return PotentialMatrix.from_samples(rows[:, 1], rows[:, 2], grid)

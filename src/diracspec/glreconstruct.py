@@ -16,15 +16,23 @@ F(x, t) = U(x) C U(t)^T has rank R = 2(2N + 1), so trapezoid collocation
 reduces at every x node to an R x R system for the coefficients G(x) of
 K(x, t) = G(x) U(t)^T; neighbouring nodes' systems differ by a rank-2 Gram
 step, so one LU serves a block of nodes through Woodbury updates (Hager
-1989).  The potential is read off the diagonal: with K_A the
+1989).  The kernel stays in this factored form: the collocation residual
+is checked block by block on the nodes of the triangle t_i <= x_j only,
+and the potential is read off the diagonal G(x) U(x)^T: with K_A the
 B-anticommuting (symmetric trace-free) part of K(x, x),
 
     Omega(x) = K_A(x, x) B - B K_A(x, x),
 
-i.e. p = -(K12 + K21), q = K11 - K22.  The final step substitutes the
-reconstructed eigenfunctions back and checks orthogonality and the
-boundary condition, which stands in for the completeness facts the theory
-guarantees.
+i.e. p = -(K12 + K21), q = K11 - K22.  The eigenfunctions need no
+quadrature either: with e_n the target column of n,
+
+    phi(x, lambda_n) = phi0(x, lambda_n) + int_0^x K(x, s) phi0(s, lambda_n) ds
+                     = -a_n G(x) e_n,
+
+because the collocated integral is the one in the system for G (Levitan &
+Sargsjan 1991).  The final step substitutes them back and checks
+orthogonality and the boundary condition, which stands in for the
+completeness facts the theory guarantees.
 """
 
 from __future__ import annotations
@@ -91,38 +99,44 @@ class GLSeriesKernel:
         return sorted(range(-self.trunc, self.trunc + 1), key=lambda n: (abs(n), -n))
 
 
-def build_F(series: GLSeriesKernel, x, t) -> np.ndarray:
-    """F(x, t) as a 2x2 real matrix; F(x, t) = F(t, x)^T."""
-    alpha = series.target.angles.alpha
-    xa = np.atleast_1d(np.asarray(x, dtype=float))
-    ta = np.atleast_1d(np.asarray(t, dtype=float))
-    out = np.zeros((2, 2) + np.broadcast_shapes(xa.shape, ta.shape))
-    for n in series.ordered_indices():
-        d = series.target.items[n]
-        r = series.reference.items[n]
-        ux = _phi0(d.lam, alpha, xa)
-        ut = _phi0(d.lam, alpha, ta)
-        vx = _phi0(r.lam, alpha, xa)
-        vt = _phi0(r.lam, alpha, ta)
-        out += np.einsum("a...,b...->ab...", ux, ut) / d.a
-        out -= np.einsum("a...,b...->ab...", vx, vt) / r.a
-    if np.ndim(x) == 0 and np.ndim(t) == 0:
-        return out[..., 0]
-    return out
-
-
 @dataclass
 class GLKernel:
-    """Transformation kernel on the triangle t <= x; zero above it.
+    """Transformation kernel K(x_j, t) = G_j U(t)^T on the triangle t <= x_j.
 
-    residual is the largest collocation residual over t_i <= x_j, condition
-    the 2-norm condition number of the last node's R x R system (solve_gl).
+    G (nx, 2, R) holds each node's coefficients and UT (nx, R, 2) the
+    columns U(x_j)^T, target and reference pairs in ordered_indices order
+    (target lambda_n in column 2k for the k-th index).  residual is the
+    largest collocation residual over t_i <= x_j, condition the 2-norm
+    condition number of the last node's R x R system (solve_gl).
     """
 
     grid: Grid
-    K: np.ndarray  # (nx, nx, 2, 2), row x, column t
+    G: np.ndarray
+    UT: np.ndarray
     residual: float
     condition: float
+
+    @property
+    def K(self) -> np.ndarray:
+        """Dense kernel (nx, nx, 2, 2), row x, column t, zero above t = x;
+        built anew on every access."""
+        nx = self.grid.m + 1
+        K = (self.G.reshape(2 * nx, -1) @ _columns(self.UT)).reshape(nx, 2, nx, 2)
+        K *= np.tri(nx)[:, None, :, None]
+        return K.transpose(0, 2, 1, 3)
+
+
+def _columns(UT: np.ndarray) -> np.ndarray:
+    """U(t_i)^T side by side, (R, 2 nx)."""
+    return UT.transpose(1, 0, 2).reshape(UT.shape[1], -1)
+
+
+def _triangle_max(E: np.ndarray, Ut: np.ndarray, j0: int) -> float:
+    """max |E_j U(t_i)^T| over t_i <= x_j for the block's nodes j = j0 + k,
+    E (b, 2, R) and Ut the columns of the nodes up to the block's last."""
+    b = E.shape[0]
+    ER = (E.reshape(2 * b, -1) @ Ut[:, : 2 * (j0 + b)]).reshape(b, 2, j0 + b, 2)
+    return float(np.max(np.abs(ER) * np.tri(b, j0 + b, j0)[:, None, :, None]))
 
 
 def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
@@ -148,13 +162,15 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     c = np.ravel([[1.0 / tgt[n].a, -1.0 / ref[n].a] for n in ns])
     UT = _phi0(lams, series.target.angles.alpha, grid.nodes[:, None]).transpose(1, 2, 0)
     CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
+    Ut = _columns(UT)
     R = c.size
     nx = grid.m + 1
     # row k: trapezoid weights on [x_j0, x_j0+k], one per column of C U_B^T
     e = np.eye(BLOCK + 1)
     tw = grid.h * np.repeat(np.tri(BLOCK + 1) - 0.5 * (e + e[0]), 2, axis=1)
     A = np.eye(R)  # I + C V_j0 = (I + V_j0 C)^T at the block start j0
-    GE = np.empty((2, nx, 2, R))  # G_j and the residual factor E_j
+    G = np.empty((nx, 2, R))
+    residual = 0.0
     for j0 in range(0, nx, BLOCK):
         b = min(BLOCK, nx - j0)
         n2, k = 2 * b, np.arange(b)
@@ -174,21 +190,17 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
         Gc = Y @ (S.transpose(1, 0, 2).reshape(n2, n2) - np.eye(n2))  # columns G_j^T
         # E_j = A_j G_j^T + C U(x_j)^T by forward products, not through the inverse
         Ec = A @ Gc + M[:, :n2] @ (np.repeat(W, 2, axis=0).T * (U[:n2] @ Gc) + np.eye(n2))
-        GE[0, j0 : j0 + b] = Gc.T.reshape(b, 2, R)
-        GE[1, j0 : j0 + b] = Ec.T.reshape(b, 2, R)
+        G[j0 : j0 + b] = Gc.T.reshape(b, 2, R)
+        residual = max(residual, _triangle_max(Ec.T.reshape(b, 2, R), Ut, j0))
         r = min(b, nx - 1 - j0)  # node j0 + r: the next block start, or the last node
         A = A + (M * tw[r, : 2 * r + 2]) @ U
-    Ut = UT.transpose(1, 0, 2).reshape(R, 2 * nx)  # columns U(t_i)^T
-    KE = (GE.reshape(4 * nx, R) @ Ut).reshape(2, nx, 2, nx, 2)
-    KE *= np.tri(nx)[:, None, :, None]  # keep t_i <= x_j
-    residual = float(np.max(np.abs(KE[1])))
-    K = KE[0].transpose(0, 2, 1, 3).copy()
-    return GLKernel(grid, K, residual, float(np.linalg.cond(A)))
+    return GLKernel(grid, G, UT, residual, float(np.linalg.cond(A)))
 
 
 def recover_potential(kernel: GLKernel) -> PotentialMatrix:
-    """Omega from the kernel diagonal: p = -(K12+K21), q = K11-K22."""
-    d = np.einsum("iiab->iab", kernel.K)
+    """Omega from the kernel diagonal K(x_j, x_j) = G_j U(x_j)^T:
+    p = -(K12+K21), q = K11-K22."""
+    d = kernel.G @ kernel.UT
     p = -(d[:, 0, 1] + d[:, 1, 0])
     q = d[:, 0, 0] - d[:, 1, 1]
     return PotentialMatrix.from_samples(p, q, kernel.grid)
@@ -197,23 +209,15 @@ def recover_potential(kernel: GLKernel) -> PotentialMatrix:
 def transformed_solutions(
     series: GLSeriesKernel, kernel: GLKernel
 ) -> dict[int, Trajectory2]:
-    """phi(x, lambda_n) = phi0 + int_0^x K(x, s) phi0(s, lambda_n) ds."""
-    grid = kernel.grid
-    xs = grid.nodes
-    nx = xs.size
-    wts = grid.trapezoid_weights()
-    # triangle weights: for row x_j only s <= j contribute, endpoint halved
-    Kw = kernel.K * wts[None, :, None, None]
-    inner = np.arange(1, nx - 1)
-    Kw[inner, inner] *= 0.5
-    Kw[0, 0] = 0.0
+    """phi(x, lambda_n) = phi0 + int_0^x K(x, s) phi0(s, lambda_n) ds.
+
+    With the collocated trapezoid integral this is -a_n G_j e_n exactly,
+    e_n the target column of n: multiply G_j (I + V_j C) = -U(x_j) C by e_n.
+    """
     ns = series.ordered_indices()
-    lams = np.array([series.target.items[n].lam for n in ns])
-    u = _phi0(lams[:, None], series.target.angles.alpha, xs[None, :])  # (2, len(ns), nx)
-    Kmat = Kw.transpose(0, 2, 1, 3).reshape(2 * nx, 2 * nx)  # rows (j, a), columns (s, b)
-    add = Kmat @ u.transpose(2, 0, 1).reshape(2 * nx, len(ns))  # rows (j, a), columns k
-    phi = u.transpose(1, 0, 2) + add.reshape(nx, 2, len(ns)).transpose(2, 1, 0)
-    return {n: Trajectory2(grid, phi[k, 0], phi[k, 1]) for k, n in enumerate(ns)}
+    a = np.array([series.target.items[n].a for n in ns])
+    phi = -a[:, None, None] * kernel.G[:, :, ::2].transpose(2, 1, 0)  # (len(ns), 2, nx)
+    return {n: Trajectory2(kernel.grid, phi[k, 0], phi[k, 1]) for k, n in enumerate(ns)}
 
 
 def reconstruct(

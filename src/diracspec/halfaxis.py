@@ -62,6 +62,11 @@ def hermite_phi(n: int, x) -> np.ndarray:
     phi_{n+1} = x sqrt(2/(n+1)) phi_n - sqrt(n/(n+1)) phi_{n-1}; values stay
     bounded, so there is no overflow even for n in the hundreds.
     """
+    return _hermite_pair(n, x)[1]
+
+
+def _hermite_pair(n: int, x) -> tuple[np.ndarray, np.ndarray]:
+    """(phi_{n-1}, phi_n) from one recurrence; phi_{-1} = 0."""
     if n < 0:
         raise ContractError("Hermite index must be nonnegative")
     x = np.asarray(x, dtype=float)
@@ -71,16 +76,13 @@ def hermite_phi(n: int, x) -> np.ndarray:
         prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(
             k / (k + 1)
         ) * prev
-    return cur
+    return prev, cur
 
 
 def _whole_axis_eigvec(n: int, x: np.ndarray) -> np.ndarray:
     """Whole-axis eigenvector for index n, shape (2, len(x))."""
-    if n == 0:
-        return np.stack([np.zeros_like(x), hermite_phi(0, x)])
-    k = abs(n)
-    top = hermite_phi(k - 1, x)
-    return np.stack([math.copysign(1.0, n) * top, hermite_phi(k, x)])
+    top, bottom = _hermite_pair(abs(n), x)
+    return np.stack([math.copysign(1.0, n) * top, bottom])
 
 
 def half_bc0_norming(k: int) -> float:

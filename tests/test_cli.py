@@ -57,6 +57,34 @@ def test_potential_csv_round_trip(tmp_path):
     assert np.array_equal(back.q, pot.q)
 
 
+def _row_loop_csv(pot):
+    """The row-by-row writer the joined one replaced."""
+    x = pot.domain.nodes
+    lines = ["x,p,q\n"]
+    for xi, pi, qi in zip(x, pot.sample_p(x), pot.sample_q(x)):
+        lines.append(f"{xi:.17g},{pi:.17g},{qi:.17g}\n")
+    return "".join(lines).encode()
+
+
+def test_potential_csv_bytes_match_row_loop(tmp_path):
+    g = Grid(0.0, 2.0, 11)
+    special = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e300, -1e300,
+               1.7976931348623157e308, 1.0 / 3.0, -2.5e-17, 123456789.125, math.pi]
+    p = np.array(special)
+    q = -np.array(special[::-1])
+    pot = PotentialMatrix.from_samples(p, q, g)
+    path = tmp_path / "pot.csv"
+    write_potential_csv(pot, path)
+    first = path.read_bytes()
+    assert first == _row_loop_csv(pot)
+    assert b"-0," in first and b"4.9406564584124654e-324" in first
+    back = read_potential_csv(path)
+    assert np.array_equal(np.signbit(back.p), np.signbit(p))
+    again = tmp_path / "again.csv"
+    write_potential_csv(back, again)
+    assert again.read_bytes() == first
+
+
 def test_isospectral_matches_zero_family(tmp_path):
     out = tmp_path / "omega.csv"
     rc = _run(["isospectral", "--shift", "1=0.5", "--grid", 2048,

@@ -4,15 +4,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from diracspec import glreconstruct
 from diracspec.core import BoundaryAngles, ContractError, Grid, SingularSystemError
 from diracspec.eigen import SpectralData, SpectralDatum
 from diracspec.glreconstruct import (
     BLOCK,
     GLSeriesKernel,
-    build_F,
     recover_potential,
     reconstruct,
     solve_gl,
+    transformed_solutions,
 )
 from diracspec.isospectral import omega_l1_distance, zero_family
 
@@ -41,6 +42,45 @@ def _perturbed_data(alpha, beta, N, eps=0.05):
         for n in range(-N, N + 1)
     }
     return SpectralData(BoundaryAngles.make(alpha, beta), items)
+
+
+def build_F(series, x, t):
+    """F(x, t) as a 2x2 real matrix summed term by term; F(x, t) = F(t, x)^T."""
+    alpha = series.target.angles.alpha
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
+    ta = np.atleast_1d(np.asarray(t, dtype=float))
+    out = np.zeros((2, 2) + np.broadcast_shapes(xa.shape, ta.shape))
+
+    def phi0(lam, s):
+        return np.stack([np.sin(lam * s + alpha), -np.cos(lam * s + alpha)])
+
+    for n in series.ordered_indices():
+        for d, sign in ((series.target.items[n], 1.0), (series.reference.items[n], -1.0)):
+            out += sign * np.einsum("a...,b...->ab...", phi0(d.lam, xa), phi0(d.lam, ta)) / d.a
+    if np.ndim(x) == 0 and np.ndim(t) == 0:
+        return out[..., 0]
+    return out
+
+
+def _quadrature_solutions(series, kernel):
+    """Reference eigenfunctions: phi0 + trapezoid int_0^x K(x, s) phi0(s) ds
+    with the dense kernel."""
+    grid = kernel.grid
+    xs = grid.nodes
+    nx = xs.size
+    # triangle weights: for row x_j only s <= j contribute, endpoint halved
+    Kw = kernel.K * grid.trapezoid_weights()[None, :, None, None]
+    inner = np.arange(1, nx - 1)
+    Kw[inner, inner] *= 0.5
+    Kw[0, 0] = 0.0
+    ns = series.ordered_indices()
+    lams = np.array([series.target.items[n].lam for n in ns])
+    ph = lams[:, None] * xs[None, :] + series.target.angles.alpha
+    u = np.stack([np.sin(ph), -np.cos(ph)])  # (2, len(ns), nx)
+    Kmat = Kw.transpose(0, 2, 1, 3).reshape(2 * nx, 2 * nx)  # rows (j, a), columns (s, b)
+    add = Kmat @ u.transpose(2, 0, 1).reshape(2 * nx, len(ns))  # rows (j, a), columns k
+    phi = u.transpose(1, 0, 2) + add.reshape(nx, 2, len(ns)).transpose(2, 1, 0)
+    return {n: phi[k] for k, n in enumerate(ns)}
 
 
 def _dense_solve_gl(series, grid):
@@ -303,8 +343,65 @@ def test_transformed_solutions_match_zero_pot():
     grid = Grid(0.0, math.pi, 256)
     series = GLSeriesKernel.make(_lattice_data(0.0, 0.0, 10), 10)
     kernel = solve_gl(series, grid)
-    from diracspec.glreconstruct import transformed_solutions
-
     phis = transformed_solutions(series, kernel)
     assert np.max(np.abs(phis[2].y1 - np.sin(2 * grid.nodes))) < 1e-10
     assert np.max(np.abs(phis[2].y2 + np.cos(2 * grid.nodes))) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "data, N, m",
+    [
+        (_lattice_data(0.3, 0.1, 10), 10, 128),
+        (_rank_one_data(12, 2, -0.7), 12, 128),
+        (_perturbed_data(0.3, 0.1, 20), 20, 256),
+        (_perturbed_data(0.0, 0.0, 32), 32, 256),
+    ],
+    ids=["lattice", "rank_one", "perturbed_alpha", "N32_m256"],
+)
+def test_transformed_solutions_match_quadrature(data, N, m):
+    """-a_n G_j e_n against the trapezoid integral of the dense kernel."""
+    series = GLSeriesKernel.make(data, N)
+    kernel = solve_gl(series, Grid(0.0, math.pi, m))
+    phis = transformed_solutions(series, kernel)
+    ref = _quadrature_solutions(series, kernel)
+    assert phis.keys() == ref.keys()
+    for n, r in ref.items():
+        got = np.stack([phis[n].y1, phis[n].y2])
+        assert np.max(np.abs(got - r)) <= 1e-12 * np.max(np.abs(r))
+
+
+def test_residual_is_the_dense_triangle_maximum(monkeypatch):
+    """The blockwise residual equals max |E_j U(t_i)^T| over the whole
+    triangle t_i <= x_j, formed densely from the same E_j."""
+    blocks = []
+    triangle_max = glreconstruct._triangle_max
+
+    def recording(E, Ut, j0):
+        blocks.append(E)
+        return triangle_max(E, Ut, j0)
+
+    monkeypatch.setattr(glreconstruct, "_triangle_max", recording)
+    grid = Grid(0.0, math.pi, 200)  # a last block of 9 nodes
+    series = GLSeriesKernel.make(_rank_one_data(12, 1, 0.5), 12)
+    kernel = solve_gl(series, grid)
+    E = np.concatenate(blocks)
+    nx = grid.m + 1
+    assert E.shape == (nx, 2, 50)
+    Ut = kernel.UT.transpose(1, 0, 2).reshape(50, 2 * nx)
+    dense = (E.reshape(2 * nx, 50) @ Ut).reshape(nx, 2, nx, 2) * np.tri(nx)[:, None, :, None]
+    assert kernel.residual == np.max(np.abs(dense))
+    assert 0.0 < kernel.residual < 1e-12
+
+
+def test_reconstruct_memory_stays_below_one_dense_kernel():
+    N, m = 16, 1024
+    grid = Grid(0.0, math.pi, m)
+    data = _perturbed_data(0.0, 0.0, N)
+    tracemalloc.start()
+    try:
+        reconstruct(data, grid, N)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense (m+1)^2 x 2 x 2 kernel alone is 33.6 MB; the factors need ~1 MB each
+    assert peak < 32 * 2**20

@@ -14,6 +14,7 @@ from diracspec.core import (
 from diracspec.halfaxis import (
     ModelSpectrum,
     SurgeryPlan,
+    _whole_axis_eigvec,
     evf_halfaxis,
     evf_halfaxis_derivative,
     general_finite_perturbation,
@@ -39,6 +40,26 @@ def test_hermite_orthonormal():
     tbl = np.stack([hermite_phi(n, xs) for n in range(6)])
     gram = tbl @ tbl.T * h
     assert np.max(np.abs(gram - np.eye(6))) < 1e-10
+
+
+def _hermite_from_zero(n, x):
+    """One recurrence from index 0 per call, the reference for the pair."""
+    prev, cur = np.zeros_like(x), np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    for k in range(n):
+        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
+    return cur
+
+
+def test_whole_axis_eigvec_is_two_recurrences_bit_for_bit():
+    xs = np.linspace(-38.0, 38.0, 153)  # reaches the subnormal tails
+    ref = [_hermite_from_zero(k, xs) for k in range(301)]
+    for k in range(301):
+        assert np.array_equal(hermite_phi(k, xs), ref[k])
+        for n in {k, -k}:
+            top = math.copysign(1.0, n) * ref[k - 1] if k else np.zeros_like(xs)
+            got = _whole_axis_eigvec(n, xs)
+            assert np.array_equal(got, np.stack([top, ref[k]]))
+            assert np.array_equal(np.signbit(got), np.signbit(np.stack([top, ref[k]])))
 
 
 def test_model_norming_closed_forms():
