@@ -67,7 +67,10 @@ def parse_spectral_json(path: str) -> SpectralData:
         raise CliParseError(f"{path}: item without field 'n'")
     if any(b <= a for a, b in zip(ns, ns[1:])):
         raise CliParseError(f"{path}: field 'items' must be strictly sorted by 'n'")
-    return SpectralData.from_dict(obj)
+    try:
+        return SpectralData.from_dict(obj)
+    except (TypeError, ValueError) as exc:  # a field that is not a number
+        raise CliParseError(f"{path}: {exc}") from exc
 
 
 def emit_csv(obj, path: str) -> None:

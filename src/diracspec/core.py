@@ -284,13 +284,33 @@ def write_potential_csv(pot: PotentialMatrix, path: str) -> None:
         fh.write("x,p,q\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows))
 
 
+def _bad_csv_row(path: str) -> str:
+    """Describe the first data row of a potential CSV that is not three numbers."""
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        next(reader)
+        for r in reader:
+            try:
+                if not r or np.array(r[:3], dtype=float).size == 3:
+                    continue
+            except ValueError:
+                pass
+            text = ",".join(r)
+            return f"{path}: line {reader.line_num}: expected three numbers x,p,q, got {text!r}"
+
+
 def read_potential_csv(path: str) -> PotentialMatrix:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["x", "p", "q"]:
             raise DiracError(f"bad CSV header {header!r}, expected ['x', 'p', 'q']")
-        rows = np.array([r[:3] for r in reader if r], dtype=float)
+        try:
+            rows = np.array([r[:3] for r in reader if r], dtype=float)
+        except ValueError:  # text, or rows of unequal length
+            rows = None
+    if rows is None or (rows.ndim == 2 and rows.shape[1] < 3):
+        raise DiracError(_bad_csv_row(path))
     if len(rows) < 2:
         raise DiracError("potential CSV needs at least two rows")
     x = rows[:, 0]

@@ -16,9 +16,12 @@ F(x, t) = U(x) C U(t)^T has rank R = 2(2N + 1), so trapezoid collocation
 reduces at every x node to an R x R system for the coefficients G(x) of
 K(x, t) = G(x) U(t)^T; neighbouring nodes' systems differ by a rank-2 Gram
 step, so one LU serves a block of nodes through Woodbury updates (Hager
-1989).  The kernel stays in this factored form: the collocation residual
-is checked block by block on the nodes of the triangle t_i <= x_j only,
-and the potential is read off the diagonal G(x) U(x)^T: with K_A the
+1989).  The kernel stays in this factored form.  Its diagnostics, the
+largest collocation residual over the nodes of the triangle t_i <= x_j
+and the condition number of the last node's system, are computed on
+first read by one replay of the block loop with forward products only,
+so a solve whose caller never reads them does not pay for them.  The
+potential is read off the diagonal G(x) U(x)^T: with K_A the
 B-anticommuting (symmetric trace-free) part of K(x, x),
 
     Omega(x) = K_A(x, x) B - B K_A(x, x),
@@ -38,6 +41,7 @@ completeness facts the theory guarantees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -103,18 +107,20 @@ class GLSeriesKernel:
 class GLKernel:
     """Transformation kernel K(x_j, t) = G_j U(t)^T on the triangle t <= x_j.
 
-    G (nx, 2, R) holds each node's coefficients and UT (nx, R, 2) the
-    columns U(x_j)^T, target and reference pairs in ordered_indices order
-    (target lambda_n in column 2k for the k-th index).  residual is the
-    largest collocation residual over t_i <= x_j, condition the 2-norm
-    condition number of the last node's R x R system (solve_gl).
+    G (nx, 2, R) holds each node's coefficients, UT (nx, R, 2) the columns
+    U(x_j)^T, target and reference pairs in ordered_indices order (target
+    lambda_n in column 2k for the k-th index), and c the diagonal of C
+    (solve_gl).  residual, the largest collocation residual over
+    t_i <= x_j, and condition, the 2-norm condition number of the last
+    node's R x R system, are computed together on first read by one replay
+    of solve_gl's block loop, which repeats its forward products in the
+    same order and solves nothing, and are kept from then on.
     """
 
     grid: Grid
     G: np.ndarray
     UT: np.ndarray
-    residual: float
-    condition: float
+    c: np.ndarray
 
     @property
     def K(self) -> np.ndarray:
@@ -124,6 +130,28 @@ class GLKernel:
         K = (self.G.reshape(2 * nx, -1) @ _columns(self.UT)).reshape(nx, 2, nx, 2)
         K *= np.tri(nx)[:, None, :, None]
         return K.transpose(0, 2, 1, 3)
+
+    @property
+    def residual(self) -> float:
+        return self._diagnostics[0]
+
+    @property
+    def condition(self) -> float:
+        return self._diagnostics[1]
+
+    @cached_property
+    def _diagnostics(self) -> tuple[float, float]:
+        # E_j = A_j G_j^T + C U(x_j)^T by forward products, not through the inverse
+        Ut = _columns(self.UT)
+        residual = 0.0
+        for j0, A, M, U, W, A_next in _blocks(self.c, self.UT, self.grid.h):
+            b = W.shape[0]
+            n2 = 2 * b
+            # C-ordered like solve_gl's Gc, so the products below round alike
+            Gc = np.ascontiguousarray(self.G[j0 : j0 + b].reshape(n2, -1).T)
+            Ec = A @ Gc + M[:, :n2] @ (np.repeat(W, 2, axis=0).T * (U[:n2] @ Gc) + np.eye(n2))
+            residual = max(residual, _triangle_max(Ec.T.reshape(b, 2, -1), Ut, j0))
+        return residual, float(np.linalg.cond(A_next))
 
 
 def _columns(UT: np.ndarray) -> np.ndarray:
@@ -137,6 +165,31 @@ def _triangle_max(E: np.ndarray, Ut: np.ndarray, j0: int) -> float:
     b = E.shape[0]
     ER = (E.reshape(2 * b, -1) @ Ut[:, : 2 * (j0 + b)]).reshape(b, 2, j0 + b, 2)
     return float(np.max(np.abs(ER) * np.tri(b, j0 + b, j0)[:, None, :, None]))
+
+
+def _blocks(c: np.ndarray, UT: np.ndarray, h: float):
+    """The collocation blocks of BLOCK nodes in order, as (j0, A, M, U, W, A_next).
+
+    A = I + C V_j0 at the block start j0; M = C U_B^T and U = U_B over the
+    block's nodes and, if any, the next block start; W the block's
+    trapezoid rows, A_j = A + M Om U_B with Om = diag(W[j - j0]); A_next
+    the system at the next block start, or at the last node after the
+    last block.
+    """
+    CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
+    nx, R = UT.shape[:2]
+    # row k: trapezoid weights on [x_j0, x_j0+k], one per column of C U_B^T
+    e = np.eye(BLOCK + 1)
+    tw = h * np.repeat(np.tri(BLOCK + 1) - 0.5 * (e + e[0]), 2, axis=1)
+    A = np.eye(R)
+    for j0 in range(0, nx, BLOCK):
+        b = min(BLOCK, nx - j0)
+        M = CUT[j0 : j0 + b + 1].transpose(1, 0, 2).reshape(R, -1)
+        U = UT[j0 : j0 + b + 1].transpose(0, 2, 1).reshape(-1, R)
+        r = min(b, nx - 1 - j0)  # node j0 + r: the next block start, or the last node
+        A_next = A + (M * tw[r, : 2 * r + 2]) @ U
+        yield j0, A, M, U, tw[:b, : 2 * b], A_next
+        A = A_next
 
 
 def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
@@ -161,23 +214,10 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     lams = np.ravel([[tgt[n].lam, ref[n].lam] for n in ns])
     c = np.ravel([[1.0 / tgt[n].a, -1.0 / ref[n].a] for n in ns])
     UT = _phi0(lams, series.target.angles.alpha, grid.nodes[:, None]).transpose(1, 2, 0)
-    CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
-    Ut = _columns(UT)
-    R = c.size
-    nx = grid.m + 1
-    # row k: trapezoid weights on [x_j0, x_j0+k], one per column of C U_B^T
-    e = np.eye(BLOCK + 1)
-    tw = grid.h * np.repeat(np.tri(BLOCK + 1) - 0.5 * (e + e[0]), 2, axis=1)
-    A = np.eye(R)  # I + C V_j0 = (I + V_j0 C)^T at the block start j0
-    G = np.empty((nx, 2, R))
-    residual = 0.0
-    for j0 in range(0, nx, BLOCK):
-        b = min(BLOCK, nx - j0)
+    G = np.empty((grid.m + 1, 2, c.size))
+    for j0, A, M, U, W, _ in _blocks(c, UT, grid.h):
+        b = W.shape[0]
         n2, k = 2 * b, np.arange(b)
-        # C U_B^T and U_B over the block's nodes and, if any, the next block start
-        M = CUT[j0 : j0 + b + 1].transpose(1, 0, 2).reshape(R, -1)
-        U = UT[j0 : j0 + b + 1].transpose(0, 2, 1).reshape(-1, R)
-        W = tw[:b, :n2]  # A_j = A + M Om U_B with Om = diag(W[j - j0])
         try:
             # Woodbury: A_j^{-1} M = Y - Y (I + Om Z)^{-1} Om Z, Y = A^{-1} M, Z = U_B Y
             Y = np.linalg.solve(A, M[:, :n2])
@@ -188,13 +228,8 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
                 f"kernel system singular at an x index in {j0}..{j0 + b - 1}"
             ) from exc
         Gc = Y @ (S.transpose(1, 0, 2).reshape(n2, n2) - np.eye(n2))  # columns G_j^T
-        # E_j = A_j G_j^T + C U(x_j)^T by forward products, not through the inverse
-        Ec = A @ Gc + M[:, :n2] @ (np.repeat(W, 2, axis=0).T * (U[:n2] @ Gc) + np.eye(n2))
-        G[j0 : j0 + b] = Gc.T.reshape(b, 2, R)
-        residual = max(residual, _triangle_max(Ec.T.reshape(b, 2, R), Ut, j0))
-        r = min(b, nx - 1 - j0)  # node j0 + r: the next block start, or the last node
-        A = A + (M * tw[r, : 2 * r + 2]) @ U
-    return GLKernel(grid, G, UT, residual, float(np.linalg.cond(A)))
+        G[j0 : j0 + b] = Gc.T.reshape(b, 2, -1)
+    return GLKernel(grid, G, UT, c)
 
 
 def recover_potential(kernel: GLKernel) -> PotentialMatrix:

@@ -110,6 +110,34 @@ def test_exit_2_on_malformed_json(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "body, line",
+    [("0,0,0\n1,abc,0\n2,0,0\n", 3), ("0,0,0\n1,2\n2,0,0\n", 3), ("0,0\n1,1\n2,2\n", 2)],
+    ids=["text_field", "two_fields", "two_fields_every_row"],
+)
+def test_exit_3_on_malformed_csv_row(tmp_path, capsys, body, line):
+    path = tmp_path / "bad.csv"
+    path.write_text("x,p,q\n" + body)
+    rc = _run(["isospectral", "--input", path, "--shift", "0=0.5", "--out", tmp_path / "o.csv"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"line {line}:" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("lam", ["abc", None], ids=["text", "null"])
+def test_exit_2_on_non_numeric_lambda(tmp_path, capsys, lam):
+    path = tmp_path / "bad.json"
+    items = [{"n": n, "lambda": float(n), "a": math.pi} for n in range(-2, 3)]
+    items[1]["lambda"] = lam
+    path.write_text(json.dumps({"alpha": 0.0, "beta": 0.0, "items": items}))
+    with pytest.raises(CliParseError):
+        parse_spectral_json(str(path))
+    rc = _run(["reconstruct", "--spec", path, "--trunc", 2, "--out", tmp_path / "o.csv"])
+    assert rc == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_exit_3_on_domain_failure(tmp_path):
     # two identical boundary angles is valid JSON but inconsistent data
     spec = tmp_path / "s.json"

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diracspec import glreconstruct
+from diracspec import cli, glreconstruct
 from diracspec.core import BoundaryAngles, ContractError, Grid, SingularSystemError
 from diracspec.eigen import SpectralData, SpectralDatum
 from diracspec.glreconstruct import (
@@ -137,6 +137,50 @@ def _per_node_solve_gl(series, grid):
     return K.transpose(0, 2, 1, 3), np.linalg.cond(A[-1])
 
 
+def _eager_solve_gl(series, grid):
+    """Reference: solve_gl's block loop with the diagnostics computed inline
+    after each block's solve.  Returns G, the largest collocation residual
+    over the triangle and the condition number of the last node's system."""
+    ns = series.ordered_indices()
+    tgt, ref = series.target.items, series.reference.items
+    lams = np.ravel([[tgt[n].lam, ref[n].lam] for n in ns])
+    c = np.ravel([[1.0 / tgt[n].a, -1.0 / ref[n].a] for n in ns])
+    ph = lams * grid.nodes[:, None] + series.target.angles.alpha
+    UT = np.stack([np.sin(ph), -np.cos(ph)], axis=2)  # U(x_j)^T, (nx, R, 2)
+    CUT = c[:, None] * UT
+    Ut = UT.transpose(1, 0, 2).reshape(c.size, -1)
+    R, nx = c.size, grid.m + 1
+    e = np.eye(BLOCK + 1)
+    tw = grid.h * np.repeat(np.tri(BLOCK + 1) - 0.5 * (e + e[0]), 2, axis=1)
+    A = np.eye(R)
+    G = np.empty((nx, 2, R))
+    residual = 0.0
+    for j0 in range(0, nx, BLOCK):
+        b = min(BLOCK, nx - j0)
+        n2, k = 2 * b, np.arange(b)
+        M = CUT[j0 : j0 + b + 1].transpose(1, 0, 2).reshape(R, -1)
+        U = UT[j0 : j0 + b + 1].transpose(0, 2, 1).reshape(-1, R)
+        W = tw[:b, :n2]
+        Y = np.linalg.solve(A, M[:, :n2])
+        OZ = W[:, :, None] * (U[:n2] @ Y)
+        S = np.linalg.solve(np.eye(n2) + OZ, OZ.reshape(b, n2, b, 2)[k, :, k])
+        Gc = Y @ (S.transpose(1, 0, 2).reshape(n2, n2) - np.eye(n2))
+        Ec = A @ Gc + M[:, :n2] @ (np.repeat(W, 2, axis=0).T * (U[:n2] @ Gc) + np.eye(n2))
+        G[j0 : j0 + b] = Gc.T.reshape(b, 2, R)
+        residual = max(residual, glreconstruct._triangle_max(Ec.T.reshape(b, 2, R), Ut, j0))
+        r = min(b, nx - 1 - j0)
+        A = A + (M * tw[r, : 2 * r + 2]) @ U
+    return G, residual, float(np.linalg.cond(A))
+
+
+_ORACLE_CASES = [
+    (_perturbed_data(0.3, 0.1, 20), 20, 256),
+    (_rank_one_data(26, 2, -0.7), 26, 256),
+    (_perturbed_data(0.0, 0.0, 60), 60, 512),
+]
+_ORACLE_IDS = ["N20_m256", "N26_m256", "N60_m512"]
+
+
 @pytest.mark.parametrize(
     "data, N, m",
     [
@@ -157,15 +201,7 @@ def test_solve_gl_matches_dense_collocation(data, N, m):
     assert kernel.residual < 1e-12
 
 
-@pytest.mark.parametrize(
-    "data, N, m",
-    [
-        (_perturbed_data(0.3, 0.1, 20), 20, 256),
-        (_rank_one_data(26, 2, -0.7), 26, 256),
-        (_perturbed_data(0.0, 0.0, 60), 60, 512),
-    ],
-    ids=["N20_m256", "N26_m256", "N60_m512"],
-)
+@pytest.mark.parametrize("data, N, m", _ORACLE_CASES, ids=_ORACLE_IDS)
 def test_solve_gl_matches_per_node_solve(data, N, m):
     """The block updates against one R x R solve per node.  A wrong update
     weight leaves the self-consistent residual at rounding level, so K is
@@ -177,6 +213,58 @@ def test_solve_gl_matches_per_node_solve(data, N, m):
     assert np.max(np.abs(kernel.K - K_ref)) <= 1e-12 * np.max(np.abs(K_ref))
     assert kernel.residual < 1e-12
     assert abs(kernel.condition - cond_ref) <= 1e-10 * cond_ref
+
+
+@pytest.mark.parametrize("data, N, m", _ORACLE_CASES, ids=_ORACLE_IDS)
+def test_diagnostics_equal_the_eager_loop(data, N, m):
+    """The replay on first read gives the floats the eager loop gave."""
+    series = GLSeriesKernel.make(data, N)
+    grid = Grid(0.0, math.pi, m)
+    kernel = solve_gl(series, grid)
+    G, residual, condition = _eager_solve_gl(series, grid)
+    assert np.array_equal(kernel.G, G)
+    assert kernel.residual == residual
+    assert kernel.condition == condition
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("diagnostic computed")
+
+
+def test_reconstruct_never_computes_the_diagnostics(monkeypatch, tmp_path):
+    monkeypatch.setattr(glreconstruct, "_triangle_max", _raise)
+    monkeypatch.setattr(np.linalg, "cond", _raise)
+    data = _perturbed_data(0.0, 0.0, 8)
+    grid = Grid(0.0, math.pi, 128)
+    kernel = solve_gl(GLSeriesKernel.make(data, 8), grid)
+    with pytest.raises(AssertionError, match="diagnostic computed"):
+        kernel.residual
+    reconstruct(data, grid, 8)
+    spec, out = tmp_path / "spec.json", tmp_path / "pot.csv"
+    data.save(spec)
+    argv = ["reconstruct", "--spec", spec, "--trunc", 8, "--grid", 128, "--out", out]
+    assert cli.main([str(a) for a in argv]) == 0
+    assert out.exists()
+
+
+def test_second_read_does_not_replay(monkeypatch):
+    calls = []
+    triangle_max = glreconstruct._triangle_max
+
+    def counted(E, Ut, j0):
+        calls.append(j0)
+        return triangle_max(E, Ut, j0)
+
+    monkeypatch.setattr(glreconstruct, "_triangle_max", counted)
+    grid = Grid(0.0, math.pi, 200)
+    kernel = solve_gl(GLSeriesKernel.make(_rank_one_data(12, 1, 0.5), 12), grid)
+    starts = list(range(0, grid.m + 1, BLOCK))
+    assert calls == []
+    first = (kernel.residual, kernel.condition)
+    assert calls == starts
+    monkeypatch.setattr(np.linalg, "cond", _raise)
+    assert (kernel.residual, kernel.condition) == first
+    assert calls == starts
 
 
 def test_solve_gl_factors_once_per_block(monkeypatch):
@@ -384,13 +472,14 @@ def test_residual_is_the_dense_triangle_maximum(monkeypatch):
     grid = Grid(0.0, math.pi, 200)  # a last block of 9 nodes
     series = GLSeriesKernel.make(_rank_one_data(12, 1, 0.5), 12)
     kernel = solve_gl(series, grid)
+    residual = kernel.residual  # the replay on this first read records the blocks
     E = np.concatenate(blocks)
     nx = grid.m + 1
     assert E.shape == (nx, 2, 50)
     Ut = kernel.UT.transpose(1, 0, 2).reshape(50, 2 * nx)
     dense = (E.reshape(2 * nx, 50) @ Ut).reshape(nx, 2, nx, 2) * np.tri(nx)[:, None, :, None]
-    assert kernel.residual == np.max(np.abs(dense))
-    assert 0.0 < kernel.residual < 1e-12
+    assert residual == np.max(np.abs(dense))
+    assert 0.0 < residual < 1e-12
 
 
 def test_reconstruct_memory_stays_below_one_dense_kernel():
