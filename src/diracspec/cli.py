@@ -22,7 +22,6 @@ from .core import (
     DEFAULT_M,
     DiracError,
     Grid,
-    GridFunction,
     PotentialMatrix,
     Trajectory2,
     cumulative_c,
@@ -73,20 +72,6 @@ def parse_spectral_json(path: str) -> SpectralData:
         raise CliParseError(f"{path}: {exc}") from exc
 
 
-def emit_csv(obj, path: str) -> None:
-    """Write a potential or a grid function as CSV with 17 significant digits."""
-    if isinstance(obj, PotentialMatrix):
-        write_potential_csv(obj, path)
-        return
-    if isinstance(obj, GridFunction):
-        with open(path, "w", newline="\n") as fh:
-            fh.write("x,value\n")
-            for x, v in zip(obj.grid.nodes, obj.values):
-                fh.write(f"{x:.17g},{float(np.real(v)):.17g}\n")
-        return
-    raise CliParseError(f"cannot serialize {type(obj).__name__} as CSV")
-
-
 def _echo_config(args: argparse.Namespace, out: str) -> None:
     cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
     with open(out + ".config.json", "w", newline="\n") as fh:
@@ -126,7 +111,7 @@ def _write_potential(pot: PotentialMatrix, args) -> None:
             json.dump(obj, fh, indent=1, sort_keys=True)
             fh.write("\n")
     else:
-        emit_csv(pot, args.out)
+        write_potential_csv(pot, args.out)
     _echo_config(args, args.out)
 
 
@@ -180,7 +165,7 @@ def _cmd_surgery(args) -> int:
     plan = SurgeryPlan.load(args.plan)
     base = ModelSpectrum.make(args.flavor, args.window)
     grid = Grid(0.0, args.xmax, args.grid)
-    result = surgery(base, plan, grid, window=args.window)
+    result = surgery(base, plan, grid)
     _write_potential(result.potential, args)
     return 0
 

@@ -227,8 +227,7 @@ def norming_constants(pot: PotentialMatrix, alpha: float, data: SpectralData) ->
 def _normed_trajectories(pot, alpha, data):
     """norming_constants(...) and the swept phi(., lambda_n), shape (2, K, m+1)."""
     Y = _trajectories(pot, data.lams(), alpha)
-    w = pot.domain.trapezoid_weights()
-    a = (np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2) @ w
+    a = pot.domain.integrate(np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2)
     if np.any(a <= 0):
         raise ContractError("nonpositive norming constant from quadrature")
     items = {
@@ -264,7 +263,6 @@ def similarity_coefficients(
     lams = data.lams()
     phi = _trajectories(pot, lams, alpha)
     u = _trajectories(pot, lams, beta, direction=-1)
-    w = pot.domain.trapezoid_weights()
     mag = phi[0] ** 2 + phi[1] ** 2
     rows = np.arange(lams.size)
     k = np.argmax(mag, axis=1)
@@ -273,8 +271,8 @@ def similarity_coefficients(
     if null.size:
         raise ContractError(f"eigenfunction numerically null at n = {data.ns()[null[0]]}")
     c = (u[0, rows, k] * phi[0, rows, k] + u[1, rows, k] * phi[1, rows, k]) / peak
-    b = (np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2) @ w
-    a = (np.abs(phi[0]) ** 2 + np.abs(phi[1]) ** 2) @ w
+    b = pot.domain.integrate(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)
+    a = pot.domain.integrate(np.abs(phi[0]) ** 2 + np.abs(phi[1]) ** 2)
     out = {
         n: replace(d, a=float(a[i]) if d.a is None else d.a, b=float(b[i]), c=float(c[i]))
         for i, (n, d) in enumerate(data.items.items())

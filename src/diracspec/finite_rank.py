@@ -29,7 +29,7 @@ import math
 
 import numpy as np
 
-from .core import ContractError, Grid, SingularSystemError, cumtrapz0
+from .core import ContractError, Grid, SingularSystemError
 
 _BLOCK = 2**13
 
@@ -41,11 +41,11 @@ def _labels(values, n: int) -> np.ndarray:
 def _prefix(psi, eig, a, v, v_eig, grid: Grid):
     """int_0^x psi_k . v_n as (limit (K, N), variable part (K, N, nx))."""
     f = np.einsum("kax,nax->knx", psi, v)
-    var = cumtrapz0(f, grid.h)
+    var = grid.cumulative(f)
     both = np.isfinite(eig)[:, None] & np.isfinite(v_eig)[None, :]
     if np.any(both):
         fb = f[both]
-        tail = cumtrapz0(fb[:, ::-1], grid.h)[:, ::-1]
+        tail = grid.cumulative(fb[:, ::-1])[:, ::-1]
         # one-term asymptotic for the piece beyond the grid, ~ f/(2x)
         var[both] = -(tail + fb[:, -1:] / (2.0 * grid.b))
     limit = np.where(eig[:, None] == v_eig[None, :], a[:, None], 0.0)

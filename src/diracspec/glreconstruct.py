@@ -278,7 +278,7 @@ def reconstruct(
     pot = recover_potential(kernel)
     phis = transformed_solutions(series, kernel)
 
-    w = grid.trapezoid_weights()
+    w = grid.trapezoid_weights()  # the rule solve_gl collocates with, not Grid.integrate
     beta = data.angles.beta
     check = sorted(range(-N, N + 1), key=abs)[: min(2 * N + 1, 21)]
     Y = np.stack([np.concatenate([phis[n].y1, phis[n].y2]) for n in check])

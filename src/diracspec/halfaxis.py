@@ -6,8 +6,9 @@ the half axis with the boundary condition y1(0) = 0 the eigenvalues are
 2 sign(k) sqrt(|k|), with closed-form norming constants.  Starting from
 this model one can remove, add, or rescale finitely many spectral-data
 entries; each edit is a finite-rank change of the spectral function, so
-``finite_rank`` gives the new potential and eigenfunctions from sampled
-solutions, in one shot or one rank at a time.  The module also evaluates
+``finite_rank`` gives the new potential and retained eigenfunctions from
+sampled solutions, in one shot or one rank at a time.  Square-integrable
+solutions are swept back from x_max in the decaying direction.  The module also evaluates
 the Weyl function m0 by renormalized backward shooting, recovers half-axis
 norming constants from two spectra via principal-value products, and
 checks the half-axis eigenvalue-function derivative -1/a_m.
@@ -199,8 +200,9 @@ class SurgeryPlan:
         )
 
     def save(self, path) -> None:
-        with open(path, "w") as f:
+        with open(path, "w", newline="\n") as f:
             json.dump(self.to_dict(), f, indent=1, sort_keys=True)
+            f.write("\n")
 
     @staticmethod
     def load(path) -> "SurgeryPlan":
@@ -219,26 +221,23 @@ class SurgeryResult:
     added: list[Trajectory2]
 
 
-def surgery(
-    base: ModelSpectrum,
-    plan: SurgeryPlan,
-    grid: Grid,
-    window: int = 8,
-) -> SurgeryResult:
+def surgery(base: ModelSpectrum, plan: SurgeryPlan, grid: Grid) -> SurgeryResult:
     """Apply a finite spectral edit to the half-axis model in one shot.
 
     All edits enter one degenerate kernel sum_k gamma_k psi_k(x) psi_k^T(y)
     with gamma the jump of the spectral function; the kernel equation then
-    reduces to the K x K system per node of ``finite_rank.solve``.  Removed
-    and rescaled states are the closed-form model eigenfunctions, added
-    ones the model's Cauchy solutions from one stored sweep.
+    reduces to the K x K system per node of ``finite_rank.solve``.  Its
+    columns for removed and rescaled states are the closed-form model
+    eigenfunctions, for added ones the model's Cauchy solutions from one
+    stored sweep.  The retained eigenfunctions are the model's, transformed;
+    the added ones are swept back from x_max in the new potential by
+    ``_decaying_solutions``.
     """
     if base.flavor != "half_bc0":
         raise ContractError("surgery starts from the half_bc0 model")
     plan.validate_against(base)
     xs = grid.nodes
-    ret_idx = [n for n in range(-window, window + 1)
-               if abs(n) <= base.window and n not in plan.removals]
+    ret_idx = [n for n in range(-base.window, base.window + 1) if n not in plan.removals]
     steps = plan_steps(base, plan)
     if not steps:
         pot = PotentialMatrix.from_samples(np.zeros_like(xs), xs.copy(), grid)
@@ -248,10 +247,11 @@ def surgery(
     nus, gamma, a = (np.array(v, dtype=float) for v in zip(*steps))
     eig = np.where(np.isnan(a), np.nan, nus)
     edited = sorted(plan.removals) + [n for n, _ in plan.rescalings]
+    mus = nus[len(edited):]
     cols = [base.eigenfunction(n, xs) for n in edited]
     if plan.additions:
         model = PotentialMatrix(None, lambda x: x, grid)
-        Y = propagate(model, grid, nus[len(edited):], initial_state(0.0), store=True)
+        Y = propagate(model, grid, mus, initial_state(0.0), store=True)
         cols += list(Y.transpose(1, 0, 2))
     psi = np.stack(cols)
     G, dp, dq = finite_rank.solve(psi, gamma, grid, eig, a)
@@ -259,8 +259,9 @@ def surgery(
     kept = np.stack([base.eigenfunction(n, xs) for n in ret_idx])
     kept = finite_rank.transform(G, psi, kept, grid, eig, a, [base.lams[n] for n in ret_idx])
     retained = {n: Trajectory2(grid, v[0], v[1]) for n, v in zip(ret_idx, kept)}
-    added = [Trajectory2(grid, v[0], v[1])
-             for v in finite_rank.transform(G, psi, psi[len(edited):], grid, eig, a)]
+    added = []
+    if plan.additions:
+        added = [Trajectory2(grid, v[0], v[1]) for v in _decaying_solutions(pot, 0.0, mus, grid)]
     return SurgeryResult(pot, retained, added)
 
 
@@ -288,11 +289,9 @@ def general_finite_perturbation(
 
     Steps (nu, gamma, a) come from ``plan_steps`` and are applied one at a
     time by ``finite_rank.recurrent``.  An eigenvalue step (finite a, the
-    norming constant at nu) moves the square-integrable solution: it is
-    swept backward from x_max in the decaying direction and scaled to
-    initial_state(alpha) at 0, since a forward Cauchy solution picks up the
-    growing mode past the turning point.  Other steps use the forward
-    Cauchy solution.
+    norming constant at nu) moves the square-integrable solution, taken
+    from ``_decaying_solutions``.  Other steps use the forward Cauchy
+    solution.
     """
     if not steps:
         return pot
@@ -303,11 +302,7 @@ def general_finite_perturbation(
     l2 = np.isfinite(eig)
     psi = np.empty((len(steps), 2, xs.size))
     if np.any(l2):
-        Y = propagate(pot, grid, nus[l2], _decaying_start(pot, nus[l2], grid),
-                      direction=-1, store=True)
-        y0 = Y[:, :, 0]
-        scale = (initial_state(alpha) @ y0) / np.sum(y0 * y0, axis=0)
-        psi[l2] = (Y * scale[:, None]).transpose(1, 0, 2)
+        psi[l2] = _decaying_solutions(pot, alpha, nus[l2], grid)
     if not np.all(l2):
         Y = propagate(pot, grid, nus[~l2], initial_state(alpha), store=True)
         psi[~l2] = Y.transpose(1, 0, 2)
@@ -365,6 +360,19 @@ def _decaying_start(pot, lams, grid):
     else:
         v = np.stack([s - qe, pe - lams])
     return v / np.max(np.abs(v), axis=0)
+
+
+def _decaying_solutions(pot, alpha, lams, grid):
+    """Square-integrable solutions at lams, shape (K, 2, m+1).
+
+    One stored sweep backward from _decaying_start, each column scaled to
+    match initial_state(alpha) at 0 in the least-squares sense.  A forward
+    Cauchy solution would pick up the growing mode past the turning point.
+    """
+    Y = propagate(pot, grid, lams, _decaying_start(pot, lams, grid), direction=-1, store=True)
+    y0 = Y[:, :, 0]
+    scale = (initial_state(alpha) @ y0) / np.sum(y0 * y0, axis=0)
+    return (Y * scale[:, None]).transpose(1, 0, 2)
 
 
 def _decaying_angle(pot, lams, grid):
@@ -431,22 +439,15 @@ def halfaxis_eigen_data(
     x_max: float | None = None,
     m: int = 4096,
 ) -> tuple[Trajectory2, float]:
-    """Eigenfunction (Cauchy-normalized at 0) and truncated norming constant."""
+    """Eigenfunction (Cauchy-normalized at 0) and truncated norming constant.
+
+    The eigenfunction is the decaying solution of ``_decaying_solutions``.
+    """
     if x_max is None:
         x_max = suggest_x_max(abs(lam) + 1.0)
     grid = Grid(0.0, x_max, m)
-    Y = propagate(pot, grid, np.array([lam]), initial_state(alpha), store=True)
-    y1, y2 = Y[0, 0], Y[1, 0]
-    f = y1 * y1 + y2 * y2
-    # Beyond the classical turning region the forward solution is eventually
-    # contaminated by the exponentially growing mode (the eigenvalue is only
-    # known to finite precision); cut the norm integral at the trailing
-    # minimum of |y|^2, where the neglected true tail is negligible.
-    j0 = int(np.searchsorted(grid.nodes, abs(lam) + 1.0))
-    cut = grid.m if j0 >= f.size - 1 else j0 + int(np.argmin(f[j0:]))
-    w = Grid(grid.a, grid.nodes[cut], cut).trapezoid_weights() if cut < grid.m else grid.trapezoid_weights()
-    a = float(w @ f[: cut + 1])
-    return Trajectory2(grid, y1, y2), a
+    y1, y2 = _decaying_solutions(pot, alpha, np.array([lam]), grid)[0]
+    return Trajectory2(grid, y1, y2), float(grid.integrate(y1 * y1 + y2 * y2))
 
 
 def evf_halfaxis(
