@@ -13,26 +13,32 @@ two-point Gauss-Legendre sampling: the step matrix is the exact exponential of
 
     h*(A1 + A2)/2 + (sqrt(3) h^2 / 12) [A2, A1],
 
-evaluated, for that exponent M, as ch*I + sh*M with ch and sh power series in
-z = -det M, summed with scaling and squaring.  It is exact for
-constant coefficients (in particular for the zero potential at every
-lambda), which a plain Runge-Kutta step is not; that exactness is what lets
-eigenvalues of simple references be resolved to 1e-10 and beyond.
+evaluated, for that exponent M, as ch*I + sh*M: sh is a power series in
+z = -det M, and ch follows from det exp(M) = ch^2 - z sh^2 = 1 (the constant
+Wronskian) as sqrt(1 + z sh^2), with scaling and squaring past |z| = 1.  It
+is exact for constant coefficients (in particular for the zero potential at
+every lambda), which a plain Runge-Kutta step is not; that exactness is what
+lets eigenvalues of simple references be resolved to 1e-10 and beyond.
 
 Both coefficient matrices of a step are affine in lambda, so the lambda-free
-parts are precomputed once per (potential, grid) and every sweep is
-vectorized over a whole batch of lambda values.  The grid is walked in
-blocks of about 16384 lambda-steps, under 2 MB of live temporaries, which
-bounds the working set at any batch size.  The step exponentials of a block
-are built at once as one (2, 2, steps, K) stack and, the step product being
-associative, combined without a per-step loop:
+parts are precomputed once per (potential, grid), as one (3, m, 2) table of
+[Q P] rows, and every sweep is vectorized over a whole batch of lambda
+values: a block's exponents are one BLAS product of its rows with the (2, K)
+rows [lambda; 1], negated (exactly) for a backward sweep.  The grid is
+walked in blocks of about 16384 lambda-steps, under 2 MB of live
+temporaries, which bounds the working set at any batch size.  The step
+exponentials of a block are built at once as one (2, 2, steps, K) stack
+and, the step product being associative, combined without a per-step loop
+(real 2x2 products are one einsum pass each):
 
 * pairwise (tree) rounds multiply neighbouring factors, halving the stack;
 * an odd-even scan then gives the state after every remaining factor: pair
   products halve the stack, the recursion gives the state after every pair,
   and one more factor each the states in between, about n products and n
   applications for n factors.  An endpoint sweep scans its block product
-  alone, a stored sweep every step, straight into the node history;
+  alone, a stored sweep every step; either scans node-major into a
+  contiguous (2, 1, n+1, K) buffer for the block's n factors, which a
+  stored sweep copies once into its (2, K, m+1) history;
 * a renormalised sweep divides every pair product and every state by its
   largest entry once that exceeds 1e100: a positive factor, so signs and
   ratios -- all a caller of a stiff half-axis sweep reads -- survive.
@@ -62,11 +68,11 @@ from .core import (
 )
 
 _SQRT3 = np.sqrt(3.0)
-# |z| above which _expm_tracefree scales and squares; a step that turns rays by
-# at most pi/2 (|mu| + |S| <= pi/2) has |z| = ||S|^2 - mu^2| <= (pi/2)^2
-_ZMAX = (0.5 * np.pi) ** 2
-# Taylor coefficients (1/(2k)!, 1/(2k+1)!) of ch and sh in z, one row per degree k
-_CS = np.array([[1.0 / math.factorial(2 * k + j) for j in (0, 1)] for k in range(20)])
+# |z| above which _expm_tracefree scales and squares; below it ch = sqrt(1 + z sh^2)
+# is cosh of a root of z of modulus at most 1, safely away from 0
+_ZMAX = 1.0
+# Taylor coefficients 1/(2k+1)! of sh in z, one per degree k
+_SH = np.array([1.0 / math.factorial(2 * k + 1) for k in range(20)])
 # lambda-steps per block of a sweep: under 2 MB of live temporaries, about one L2 cache
 _BLOCK = 16384
 # renormalisation threshold; a product of two factors below it cannot overflow
@@ -92,6 +98,8 @@ def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> np.ndarray:
     and D = ((0, -1), (1, 0)) both commutators are planar in closed form:
     [C2, C1] = 2(p2 q1 - q2 p1) ((0, 1), (-1, 0)) and
     [C2 - C1, D] = -2(q2 - q1) ((0, 1), (1, 0)) - 2(p2 - p1) diag(1, -1).
+    The result is a view of one C-contiguous (3, m, 2) table of [Q P] rows,
+    which propagate multiplies by the (2, K) rows [lambda; 1].
     """
     h = grid.h
     x0 = grid.nodes[:-1]
@@ -103,10 +111,10 @@ def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> np.ndarray:
     ps = -0.5 * h * (p1 + p2)
     cc = w2 * (p2 * q1 - q2 * p1)
     dq = w2 * (q2 - q1)
-    return np.stack([
-        [0.5 * h * (q1 + q2), ps + cc, ps - cc],
-        [-w2 * (p2 - p1), -h - dq, h - dq],
-    ])
+    QP = np.empty((3, grid.m, 2))
+    QP[..., 0] = [-w2 * (p2 - p1), -h - dq, h - dq]
+    QP[..., 1] = [0.5 * h * (q1 + q2), ps + cc, ps - cc]
+    return QP.transpose(2, 0, 1)[::-1]
 
 
 def _step_coeffs(pot: PotentialMatrix, grid: Grid):
@@ -137,11 +145,14 @@ def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
 def _expm_tracefree(a, b, c):
     """exp(M) = ch*I + sh*M, M = ((a, b), (c, -a)), as one (4, ...) array: 00, 01, 10, 11.
 
-    M^2 = z*I with z = a^2 + bc, so ch = sum z^k/(2k)! and sh = sum z^k/(2k+1)!
-    are entire in z: one Horner sum each serves real and complex z.  Past
-    _ZMAX, each z is scaled by its own exact 4^-s and squared back s times; a
-    non-finite z keeps s = 0 and flows through as inf or nan.  The degree
-    comes from the largest finite scaled |z|.
+    M^2 = z*I with z = a^2 + bc, so sh = sum z^k/(2k+1)! is entire in z: one
+    Horner sum serves real and complex z.  ch follows from det exp(M) =
+    ch^2 - z sh^2 = 1; for |z| <= _ZMAX = 1 it is cosh of a root of z, so ch
+    >= cos 1 (real z) or Re ch > 0 (complex z), and the principal square root
+    neither cancels nor takes the wrong branch.  Past _ZMAX, each z is scaled
+    by its own exact 4^-s and squared back s times; a non-finite z keeps s = 0
+    and flows through as inf or nan.  The degree comes from the largest
+    finite scaled |z|.
     """
     z = a * a
     z += b * c
@@ -155,21 +166,33 @@ def _expm_tracefree(a, b, c):
         s = np.ceil(0.5 * np.log2(np.maximum(az, _ZMAX) / _ZMAX)).astype(int)
         scale, smax = np.ldexp(1.0, -2 * s), int(np.max(s))
         z, zmax = z * scale, float(np.max(az * scale))
-    del az  # one array fewer alive: ch and sh are summed in place, in E[3] and E[1]
-    # n terms: the first dropped term of ch is below 1e-17, and n >= 2 lets a
+    del az  # one array fewer alive: sh and ch are formed in place, in E[1] and E[3]
+    # n terms: the first dropped term of sh is below 1e-17, and n >= 2 lets a
     # non-finite z reach the entries
-    n = next(k for k in range(2, len(_CS)) if zmax**k * _CS[k, 0] < 1e-17)
+    n = next(k for k in range(2, len(_SH)) if zmax**k * _SH[k] < 1e-17)
     E = np.empty((4,) + z.shape, dtype=z.dtype)
     ch, sh = E[3], E[1]
-    np.multiply(z, _CS[n - 1, 0], out=ch)
-    np.multiply(z, _CS[n - 1, 1], out=sh)
-    ch += _CS[n - 2, 0]
-    sh += _CS[n - 2, 1]
+    np.multiply(z, _SH[n - 1], out=sh)
+    sh += _SH[n - 2]
     for k in range(n - 3, -1, -1):
-        ch *= z
-        ch += _CS[k, 0]
         sh *= z
-        sh += _CS[k, 1]
+        sh += _SH[k]
+    np.multiply(sh, sh, out=ch)
+    ch *= z
+    ch += 1.0
+    if ch.dtype.kind == "c":
+        # the principal root of w = 1 + z sh^2 by real parts, several times faster
+        # than numpy's complex sqrt: Re ch = sqrt((|w| + Re w)/2) >= cos 1 and
+        # Im ch = Im w/(2 Re ch)
+        re = np.abs(ch)
+        re += ch.real
+        re *= 0.5
+        np.sqrt(re, out=re)
+        ch.imag /= re
+        ch.imag *= 0.5
+        ch.real = re
+    else:
+        np.sqrt(ch, out=ch)
     for k in range(smax):  # exp(2M) = exp(M)^2 where s > k
         sq = s > k
         ch[...], sh[...] = np.where(sq, ch * ch + z * sh * sh, ch), np.where(sq, ch * sh, sh)
@@ -183,7 +206,13 @@ def _expm_tracefree(a, b, c):
 
 
 def _mul(x, y, out=None):
-    """Stacked 2x2 products x @ y of (2, 2, ...) arrays; y may be a (2, 1, ...) column."""
+    """Stacked 2x2 products x @ y of (2, 2, ...) arrays; y may be a (2, 1, ...) column.
+
+    Real stacks take one einsum pass; complex ones two calls, which keep the
+    planar formulas' rounding (einsum's complex sum differs by an ulp).
+    """
+    if x.dtype.kind == y.dtype.kind == "f":
+        return np.einsum("ilnk,ljnk->ijnk", x, y, out=out)
     out = np.multiply(x[:, 0, None], y[0], out=out)
     out += x[:, 1, None] * y[1]
     return out
@@ -268,8 +297,13 @@ def propagate(
     y0 = np.broadcast_to(np.asarray(y0, dtype=dtype).reshape(2, -1), (2, K))
     m = grid.m
     step = 1 if direction > 0 else -1
-    coeffs = _step_coeffs(pot, grid)
-    P, Q = (coeffs if step > 0 else -coeffs)[..., None]  # exact: backward steps are exp(-M)
+    # the (3, m, 2) table of [Q P] rows behind the (P, Q) view; a block's exponents
+    # (a, b, c) are its rows times L = [lambda; 1], one real BLAS product (complex
+    # L as interleaved real columns), and -L (exact) gives exp(-M)
+    QP = _step_coeffs(pot, grid)[::-1].transpose(1, 2, 0)
+    L = np.empty((2, K), dtype=np.result_type(lam, float))
+    L[0], L[1] = step * lam, step
+    Lr = L.view(float)
     block = max(8, _BLOCK // max(K, 1))
     blocks = [(s, min(s + block, m)) for s in range(0, m, block)][::step]
     # tree rounds per block: none keeps every step, m leaves the block product
@@ -279,23 +313,23 @@ def propagate(
         rounds = _lift_rounds(d_p + np.max(np.abs(lam), initial=0.0) * d_q)
         mu = step * mu
         theta, turns = np.arctan2(y0[0], -y0[1]), np.zeros(K)
-    # states are (2, 1, nodes, K) columns; a stored sweep scans into its history
+    # states are (2, 1, nodes, K) columns, scanned block by block node-major; a
+    # stored sweep copies each block's states into its history once
     y = y0[:, None, None]
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
         Y[:, :, 0 if step > 0 else m] = y0
-        H = Y.swapaxes(1, 2)[:, None]
 
     for s, e in blocks:
-        E = _expm_tracefree(*(Q[:, s:e] * lam + P[:, s:e]))
+        E = _expm_tracefree(*(QP[:, s:e] @ Lr).view(L.dtype))
         T = _tree_product(E[:, ::step].reshape(2, 2, e - s, K), renorm, rounds)
-        if store:
-            ys = H[:, :, s : e + 1][:, :, ::step]
-        else:
-            ys = np.empty((2, 1, T.shape[2] + 1, K), dtype=dtype)
-            ys[:, :, :1] = y
+        ys = np.empty((2, 1, T.shape[2] + 1, K), dtype=dtype)
+        ys[:, :, :1] = y
         # the state at every segment end, scaled by positive factors if renorm
         _scan(T, ys, renorm)
+        if store:
+            lo = s + (step > 0)  # the nodes of ys[:, :, 1:] in sweep order
+            Y[:, :, lo : lo + e - s] = ys[:, 0, 1:][:, ::step].swapaxes(1, 2)
         if angle:
             # each segment turns every ray by rot within +-pi/2: lift exactly
             seg = np.arange(0, e - s, 2**rounds)

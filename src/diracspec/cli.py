@@ -148,7 +148,8 @@ def _cmd_isospectral(args) -> int:
             entries[int(m_str)] = float(t_str)
         except ValueError as exc:
             raise CliParseError(f"bad --shift entry {chunk!r}, expected m=t") from exc
-    result = shift_finite_recurrent(pot, args.alpha, TSequence(entries), tol=args.tol)
+    # the deformed potential needs only the shifted h_n: no window of eigenfunctions
+    result = shift_finite_recurrent(pot, args.alpha, TSequence(entries), window=0, tol=args.tol)
     _write_potential(result.omega_t, args)
     return 0
 

@@ -91,7 +91,10 @@ def solve(psi, gamma, grid: Grid, eig=None, a=None):
     A = np.diag(c)[None] + (V * gamma[:, None, None]).transpose(2, 0, 1)
     _check(A, grid.nodes)
     rhs = -(gamma[None, :, None] * psi.transpose(2, 0, 1))
-    G = np.linalg.solve(A, rhs).transpose(1, 2, 0)
+    # scale each row by the exact power of two that brings its diagonal into
+    # [0.5, 1), so partial pivoting does not pick a row for its growth alone
+    _, e = np.frexp(np.einsum("xkk->xk", A))
+    G = np.linalg.solve(np.ldexp(A, -e[..., None]), np.ldexp(rhs, -e[..., None])).transpose(1, 2, 0)
     m = np.einsum("kax,kbx->abx", G, psi)
     return G, -(m[0, 1] + m[1, 0]), m[0, 0] - m[1, 1]
 

@@ -251,7 +251,7 @@ def test_planar_step_table_matches_matrix_commutators():
         assert np.max(np.abs(got[k] - ref[k])) <= 1e-14 * np.max(np.abs(ref[k]))
 
 
-@pytest.mark.parametrize("zmax", [2.0, 400.0])
+@pytest.mark.parametrize("zmax", [0.9, 4.0, 400.0])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_series_exponential_matches_branch_closed_form(zmax, cplx):
     """One call mixes |z| up to zmax, both signs (real) or all phases (complex);
@@ -268,8 +268,70 @@ def test_series_exponential_matches_branch_closed_form(zmax, cplx):
     a, b, c = a * f, b * f, c * f
     got = np.stack(_expm_tracefree(a, b, c))
     ref = np.stack(_branch_expm(a, b, c))
-    assert (np.max(np.abs(a * a + b * c)) > _ZMAX) == (zmax > 100)
+    assert (np.max(np.abs(a * a + b * c)) > _ZMAX) == (zmax > _ZMAX)
     assert np.all(np.abs(got - ref) <= 1e-14 * np.max(np.abs(ref), axis=0))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_series_exponential_has_unit_determinant(cplx):
+    """det exp(M) = ch^2 - z sh^2 = 1 within a few ulp of its two products, for
+    |z| on both sides of _ZMAX; the one squaring that |z| <= 4 needs past _ZMAX
+    about doubles the defect (ch and sh as two series read up to 11 ulp there)."""
+    from diracspec.cauchy import _ZMAX, _expm_tracefree
+
+    rng = np.random.default_rng(8)
+    n = 4000
+    a, b, c = (rng.standard_normal(n) + (1j * rng.standard_normal(n) if cplx else 0.0)
+               for _ in range(3))
+    f = np.sqrt(np.exp(rng.uniform(math.log(1e-16), math.log(4.0), n)) / np.abs(a * a + b * c))
+    a, b, c = a * f, b * f, c * f
+    z = np.abs(a * a + b * c)
+    assert np.any(z < _ZMAX) and np.any(z > 2.0 * _ZMAX)
+    e00, e01, e10, e11 = _expm_tracefree(a, b, c)
+    det = e00 * e11 - e01 * e10
+    scale = np.abs(e00 * e11) + np.abs(e01 * e10)
+    ulps = np.where(z <= _ZMAX, 4.0, 16.0)
+    assert np.all(np.abs(det - 1.0) <= ulps * np.finfo(float).eps * scale)
+
+
+def _block_exponents(monkeypatch, *args, **kwargs):
+    """(a, b, c) of every block propagate passes to the step exponential, in call order."""
+    from diracspec import cauchy
+
+    seen = []
+    expm = cauchy._expm_tracefree
+    with monkeypatch.context() as mp:
+        mp.setattr(cauchy, "_expm_tracefree", lambda *abc: seen.append(np.stack(abc)) or expm(*abc))
+        propagate(*args, **kwargs)
+    return seen
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_block_exponents_are_the_affine_step_table(monkeypatch, cplx):
+    """The BLAS product of the [Q P] table with [lambda; 1] is P + lambda*Q
+    within one ulp of the larger term, for real and complex lambda."""
+    from diracspec.cauchy import _step_coeffs
+
+    g, pot = _sin_pot(300)
+    lam = np.linspace(-40.0, 55.0, 257) + (0.7j if cplx else 0.0)
+    got = np.concatenate(_block_exponents(monkeypatch, pot, g, lam, np.array([0.3, -0.9])), axis=1)
+    P, Q = _step_coeffs(pot, g)[..., None]
+    ref = P + Q * lam
+    assert got.dtype == ref.dtype and got.shape == ref.shape == (3, 300, 257)
+    assert np.all(np.abs(got - ref) <= np.spacing(np.maximum(np.abs(Q * lam), np.abs(P))))
+
+
+@pytest.mark.parametrize("cplx", [False, True])
+def test_backward_exponents_negate_the_forward_ones(monkeypatch, cplx):
+    """A backward sweep builds exp(-M) from exactly -M: negating [lambda; 1] is exact."""
+    g, pot = _sin_pot(300)
+    lam = np.linspace(-4.0, 11.0, 257) + (0.7j if cplx else 0.0)
+    y0 = np.array([0.3, -0.9])
+    fwd = _block_exponents(monkeypatch, pot, g, lam, y0)
+    bwd = _block_exponents(monkeypatch, pot, g, lam, y0, direction=-1)
+    assert len(fwd) == len(bwd) > 1
+    for f, b in zip(fwd, bwd[::-1]):
+        np.testing.assert_array_equal(b, -f)
 
 
 def test_non_finite_exponents_flow_through():
