@@ -20,6 +20,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_M,
+    BoundaryAngles,
     DiracError,
     Grid,
     PotentialMatrix,
@@ -33,6 +34,7 @@ from .core import (
 from .cauchy import solve_cauchy, wronskian
 from .eigen import (
     SpectralData,
+    SpectralDatum,
     evf,
     find_eigenvalues,
     norming_constants,
@@ -268,13 +270,16 @@ def _invariant_suite() -> list[tuple[str, bool]]:
 
     run("isospectral: closed-form family", iso_family)
 
-    def gl_zero():
-        data = norming_constants(zero, 0.0, find_eigenvalues(zero, 0.0, 0.0, -8, 8))
-        pot, _ = reconstruct(data, Grid(0.0, math.pi, 256), 8)
-        xs = pot.domain.nodes
-        return float(np.max(np.abs(pot.sample_q(xs)))) < 1e-6
+    def gl_rank_one():
+        # a_1 = pi e^{-t} on the zero-potential lattice: the closed-form family
+        t, grid = 0.5, Grid(0.0, math.pi, 256)
+        items = {n: SpectralDatum(n, float(n), a=math.pi * (math.exp(-t) if n == 1 else 1.0))
+                 for n in range(-8, 9)}
+        pot, _ = reconstruct(SpectralData(BoundaryAngles.make(0.0, 0.0), items), grid, 8)
+        exact = zero_family(1, t, grid)
+        return max(np.max(np.abs(pot.p - exact.p)), np.max(np.abs(pot.q - exact.q))) < 1e-10
 
-    run("glreconstruct: lattice gives zero potential", gl_zero)
+    run("glreconstruct: rank-one shift gives the closed-form family", gl_rank_one)
 
     def surgery_identity():
         base = ModelSpectrum.make("half_bc0", 6)

@@ -14,9 +14,16 @@ zero-potential Cauchy solutions.  The transformation kernel K solves
 
 F(x, t) = U(x) C U(t)^T has rank R = 2(2N + 1), so trapezoid collocation
 reduces at every x node to an R x R system for the coefficients G(x) of
-K(x, t) = G(x) U(t)^T; neighbouring nodes' systems differ by a rank-2 Gram
-step, so one LU serves a block of nodes through Woodbury updates (Hager
-1989).  The kernel stays in this factored form.  Its diagnostics, the
+K(x, t) = G(x) U(t)^T.  Written symmetrically, G(x_j) H_j = -U(x_j) with
+H_j = C^{-1} + V_j, V_j the trapezoid Gram of U on [0, x_j].  The solve
+carries H^{-1} from block start to block start by Woodbury updates (Hager
+1989); within a block of nodes, whose systems differ from the block
+start's by trapezoid Gram steps, one Cholesky of the small Woodbury
+capacitance matrix gives every node's G.  That matrix is a Schur
+complement of the dense collocation matrix, which is positive
+semidefinite on [0, pi]: the trapezoid rule integrates the reference
+cross terms exactly, so the discrete Bessel inequality holds on every
+prefix.  The kernel stays in this factored form.  Its diagnostics, the
 largest collocation residual over the nodes of the triangle t_i <= x_j
 and the condition number of the last node's system, are computed on
 first read by one replay of the block loop with forward products only,
@@ -57,7 +64,7 @@ from .eigen import SpectralData, SpectralDatum
 
 # relative tolerance of the closing orthogonality and boundary checks
 CHECK_TOL = 5e-2
-# collocation nodes per block of solve_gl, which factors one R x R system each
+# collocation nodes per block of solve_gl, which takes one Cholesky each
 BLOCK = 16
 
 
@@ -112,9 +119,9 @@ class GLKernel:
     lambda_n in column 2k for the k-th index), and c the diagonal of C
     (solve_gl).  residual, the largest collocation residual over
     t_i <= x_j, and condition, the 2-norm condition number of the last
-    node's R x R system, are computed together on first read by one replay
-    of solve_gl's block loop, which repeats its forward products in the
-    same order and solves nothing, and are kept from then on.
+    node's R x R system A = I + C V, are computed together on first read by
+    one replay of solve_gl's blocks, which carries A by forward products
+    and solves nothing, and are kept from then on.
     """
 
     grid: Grid
@@ -141,17 +148,20 @@ class GLKernel:
 
     @cached_property
     def _diagnostics(self) -> tuple[float, float]:
-        # E_j = A_j G_j^T + C U(x_j)^T by forward products, not through the inverse
+        # E_j = A_j G_j^T + C U(x_j)^T by forward products, not through the
+        # inverse: A = I + C V_j0 at the block start, A_j = A + M Om_j U_B
         Ut = _columns(self.UT)
-        residual = 0.0
-        for j0, A, M, U, W, A_next in _blocks(self.c, self.UT, self.grid.h):
-            b = W.shape[0]
+        tw = self.grid.h * _TW
+        residual, A = 0.0, np.eye(self.c.size)
+        for j0, b, r, U in _blocks(self.UT):
             n2 = 2 * b
-            # C-ordered like solve_gl's Gc, so the products below round alike
-            Gc = np.ascontiguousarray(self.G[j0 : j0 + b].reshape(n2, -1).T)
-            Ec = A @ Gc + M[:, :n2] @ (np.repeat(W, 2, axis=0).T * (U[:n2] @ Gc) + np.eye(n2))
+            M = np.ascontiguousarray(self.c[:, None] * U.T)  # C U_B^T; its layout fixes how A rounds
+            Gc = np.ascontiguousarray(self.G[j0 : j0 + b].reshape(n2, -1).T)  # columns G_j^T
+            Om = np.repeat(tw[:b, :n2], 2, axis=0).T
+            Ec = A @ Gc + M[:, :n2] @ (Om * (U[:n2] @ Gc) + np.eye(n2))
             residual = max(residual, _triangle_max(Ec.T.reshape(b, 2, -1), Ut, j0))
-        return residual, float(np.linalg.cond(A_next))
+            A = A + (M * tw[r, : 2 * r + 2]) @ U
+        return residual, float(np.linalg.cond(A))
 
 
 def _columns(UT: np.ndarray) -> np.ndarray:
@@ -167,29 +177,24 @@ def _triangle_max(E: np.ndarray, Ut: np.ndarray, j0: int) -> float:
     return float(np.max(np.abs(ER) * np.tri(b, j0 + b, j0)[:, None, :, None]))
 
 
-def _blocks(c: np.ndarray, UT: np.ndarray, h: float):
-    """The collocation blocks of BLOCK nodes in order, as (j0, A, M, U, W, A_next).
+# row k: trapezoid weights on [x_j0, x_j0+k] in units of h, one per row of U_B
+_TW = np.repeat(
+    np.tri(BLOCK + 1) - 0.5 * (np.eye(BLOCK + 1) + np.eye(BLOCK + 1)[0]), 2, axis=1
+)
 
-    A = I + C V_j0 at the block start j0; M = C U_B^T and U = U_B over the
-    block's nodes and, if any, the next block start; W the block's
-    trapezoid rows, A_j = A + M Om U_B with Om = diag(W[j - j0]); A_next
-    the system at the next block start, or at the last node after the
-    last block.
+
+def _blocks(UT: np.ndarray):
+    """The collocation blocks of BLOCK nodes in order, as (j0, b, r, U).
+
+    The block solves nodes j0 .. j0 + b - 1; node j0 + r is the next block
+    start, or the last node after the last block; U = U_B stacks the rows
+    U(x_i) for i = j0 .. j0 + r, (2(r + 1), R).
     """
-    CUT = c[:, None] * UT  # C U(x_j)^T, (nx, R, 2)
     nx, R = UT.shape[:2]
-    # row k: trapezoid weights on [x_j0, x_j0+k], one per column of C U_B^T
-    e = np.eye(BLOCK + 1)
-    tw = h * np.repeat(np.tri(BLOCK + 1) - 0.5 * (e + e[0]), 2, axis=1)
-    A = np.eye(R)
     for j0 in range(0, nx, BLOCK):
         b = min(BLOCK, nx - j0)
-        M = CUT[j0 : j0 + b + 1].transpose(1, 0, 2).reshape(R, -1)
-        U = UT[j0 : j0 + b + 1].transpose(0, 2, 1).reshape(-1, R)
-        r = min(b, nx - 1 - j0)  # node j0 + r: the next block start, or the last node
-        A_next = A + (M * tw[r, : 2 * r + 2]) @ U
-        yield j0, A, M, U, tw[:b, : 2 * b], A_next
-        A = A_next
+        r = min(b, nx - 1 - j0)
+        yield j0, b, r, UT[j0 : j0 + r + 1].transpose(0, 2, 1).reshape(-1, R)
 
 
 def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
@@ -198,14 +203,35 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     F(x, t) = U(x) C U(t)^T with R = 2(2N + 1) columns phi0(., lambda_n),
     C = diag(1/a_n, -1/a_n^0) over target and reference pairs, so the
     collocated row is K(x_j, t_i) = G_j U(t_i)^T, i <= j, where
-        G_j (I + V_j C) = -U(x_j) C,   V_j = sum_i w_i U(x_i)^T U(x_i),
+        G_j H_j = -U(x_j),   H_j = C^{-1} + V_j,   V_j = sum_i w_i U(x_i)^T U(x_i),
     w the trapezoid weights on [0, x_j] (h/2 at both ends, zero at j = 0).
-    By Sylvester's determinant identity this is the dense 2(j + 1) system
-    of node j reduced to size R.  Within a block of BLOCK nodes starting at
-    j0, A_j = I + C V_j differs from A_j0 by the rank-2b trapezoid step
-    C U_B^T Om_j U_B (U_B stacks the block's U(x_i)), so A_j0 is factored
-    once and each node's solve is a 2b x 2b Woodbury capacitance system,
-    all of a block's in one batched call.
+    H_j = C^{-1} (I + C V_j) is node j's system made symmetric; by
+    Sylvester's determinant identity it is the dense 2(j + 1) system of
+    node j reduced to size R.
+
+    The solve carries H^{-1} from block start to block start, from
+    H_0^{-1} = C.  A block of BLOCK nodes starts at j0 with H = H_j0 and
+    U_B stacking the rows U(x_i) of its nodes and of the next block start.
+    H_j differs from H by the trapezoid step U_B^T Om_j U_B, so with
+    Y = H^{-1} U_B^T Woodbury (Hager 1989) gives G_j0^T = -Y e_0 and
+        G_j^T = -(2/h) Y T_k^{-1} E_k,   k = j - j0 >= 1,
+    where T = Om^{-1} + U_B Y is the capacitance matrix of the whole block
+    (Om its trapezoid weights), T_k is its leading 2k + 2 rows and columns
+    with the diagonal of pair k raised to 2/h, and E_k selects pair k.
+
+    T is a Schur complement of W^{-1} + U C U^T, the dense collocation
+    matrix of [0, x_j0+r] (W its trapezoid weights) with node j0 split
+    into a row of the prefix [0, x_j0] and a row of the block, weight h/2
+    each.  On a grid over [0, pi] that matrix is positive semidefinite:
+    the trapezoid rule integrates the reference cross terms cos((n - k) x)
+    exactly, so the discrete Bessel inequality bounds the reference part
+    by W^{-1} on every prefix.  So one Cholesky T = L L^T serves the block,
+    and a failed one means a singular system.  T_k is L_k L_k^T (L_k the
+    leading part of L) plus sigma_k = 2/h - Om_k^{-1} on pair k, so with
+    Q = L^{-1} Y^T and B_k the 2 x 2 diagonal block of L^{-1} on pair k,
+        G_j = -(2/h) (I + sigma_k B_k^T B_k)^{-1} B_k^T Q_k,
+    Q_k the rows of pair k of Q, and the next block start has
+    H^{-1} - Q^T Q.  No R x R system is factored.
     """
     if series.trunc * 8 > grid.m:
         raise ContractError("truncation too large for the grid: need N <= m/8")
@@ -214,21 +240,36 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
     lams = np.ravel([[tgt[n].lam, ref[n].lam] for n in ns])
     c = np.ravel([[1.0 / tgt[n].a, -1.0 / ref[n].a] for n in ns])
     UT = _phi0(lams, series.target.angles.alpha, grid.nodes[:, None]).transpose(1, 2, 0)
+    h = grid.h
+    Hinv = np.diag(c)
     G = np.empty((grid.m + 1, 2, c.size))
-    for j0, A, M, U, W, _ in _blocks(c, UT, grid.h):
-        b = W.shape[0]
-        n2, k = 2 * b, np.arange(b)
+    for j0, b, r, U in _blocks(UT):
+        Y = Hinv @ U.T
+        G[j0] = -Y[:, :2].T
+        if r == 0:  # a last block of one node
+            break
+        om = 1.0 / (h * _TW[r, : 2 * r + 2])  # Om^{-1}: 2/h at both ends, 1/h between
+        T = U @ Y
+        T.flat[:: 2 * r + 3] += om
         try:
-            # Woodbury: A_j^{-1} M = Y - Y (I + Om Z)^{-1} Om Z, Y = A^{-1} M, Z = U_B Y
-            Y = np.linalg.solve(A, M[:, :n2])
-            OZ = W[:, :, None] * (U[:n2] @ Y)
-            S = np.linalg.solve(np.eye(n2) + OZ, OZ.reshape(b, n2, b, 2)[k, :, k])
+            L = np.linalg.cholesky(T)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(
                 f"kernel system singular at an x index in {j0}..{j0 + b - 1}"
             ) from exc
-        Gc = Y @ (S.transpose(1, 0, 2).reshape(n2, n2) - np.eye(n2))  # columns G_j^T
-        G[j0 : j0 + b] = Gc.T.reshape(b, 2, -1)
+        Li = np.linalg.inv(L.T).T  # L^T is upper triangular, so its LU does not pivot
+        Q = Li @ Y.T
+        # (2/h) (I + sigma B^T B)^{-1} B^T in closed form for B = ((p, 0), (q, s)),
+        # pairs k = 1 .. b - 1 at once
+        d = np.diagonal(Li)
+        p, s, q = d[2 : 2 * b : 2], d[3 : 2 * b : 2], np.diagonal(Li, -1)[2 : 2 * b : 2]
+        sig = 2.0 / h - om[2 : 2 * b : 2]
+        sp2, ss2 = sig * p * p, sig * s * s
+        w = (2.0 / h) / (1.0 + sig * q * q + sp2 + ss2 + sp2 * ss2)
+        F = np.stack([w * p * (1.0 + ss2), w * q, -sig * w * p * q * s, w * s * (1.0 + sp2)], axis=1)
+        G[j0 + 1 : j0 + b] = -(F.reshape(-1, 2, 2) @ Q[2 : 2 * b].reshape(b - 1, 2, -1))
+        if r == b:  # node j0 + r starts the next block
+            Hinv -= Q.T @ Q
     return GLKernel(grid, G, UT, c)
 
 
