@@ -86,10 +86,6 @@ class FundamentalMatrix:
     grid: Grid
     entries: np.ndarray  # shape (m+1, 2, 2)
 
-    def det(self) -> np.ndarray:
-        e = self.entries
-        return e[:, 0, 0] * e[:, 1, 1] - e[:, 0, 1] * e[:, 1, 0]
-
 
 def _magnus_coeffs(pot: PotentialMatrix, grid: Grid) -> np.ndarray:
     """Step exponents M = P + lambda*Q as planar entries (a, b, c) of (P, Q), shape (2, 3, m).

@@ -28,7 +28,9 @@ from .core import (
     cumulative_c,
     inner_product,
     pauli_algebra_selftest,
+    read_json,
     read_potential_csv,
+    write_json,
     write_potential_csv,
 )
 from .cauchy import solve_cauchy, wronskian
@@ -59,8 +61,7 @@ class CliParseError(ValueError):
 
 def parse_spectral_json(path: str) -> SpectralData:
     """Load spectral data, rejecting files whose items are out of order."""
-    with open(path) as fh:
-        obj = json.load(fh)
+    obj = read_json(path)
     if not isinstance(obj, dict) or "items" not in obj:
         raise CliParseError(f"{path}: missing field 'items'")
     ns = [rec.get("n") for rec in obj["items"]]
@@ -75,10 +76,7 @@ def parse_spectral_json(path: str) -> SpectralData:
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
-    cfg = {k: v for k, v in sorted(vars(args).items()) if k != "func"}
-    with open(out + ".config.json", "w", newline="\n") as fh:
-        json.dump(cfg, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+    write_json({k: v for k, v in vars(args).items() if k != "func"}, out + ".config.json")
 
 
 def _load_potential(args, b: float = math.pi) -> PotentialMatrix:
@@ -109,9 +107,7 @@ def _write_potential(pot: PotentialMatrix, args) -> None:
             "p": [float(v) for v in pot.sample_p(x)],
             "q": [float(v) for v in pot.sample_q(x)],
         }
-        with open(args.out, "w", newline="\n") as fh:
-            json.dump(obj, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(obj, args.out)
     else:
         write_potential_csv(pot, args.out)
     _echo_config(args, args.out)
@@ -192,9 +188,7 @@ def _cmd_weyl(args) -> int:
         x_max = args.xmax
         pot = linear_potential(x_max, args.grid)
     m0 = weyl_m0(pot, args.nu, args.mu, x_max=x_max, m=args.grid)
-    with open(args.out, "w", newline="\n") as fh:
-        json.dump({"m0": {"im": m0.imag, "re": m0.real}}, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    write_json({"m0": {"im": m0.imag, "re": m0.real}}, args.out)
     _echo_config(args, args.out)
     return 0
 

@@ -12,6 +12,7 @@ representation used by every other module.
 from __future__ import annotations
 
 import csv
+import json
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -129,9 +130,6 @@ class GridFunction:
             )
         object.__setattr__(self, "values", v)
 
-    def integral(self) -> complex:
-        return float(np.real_if_close(self.grid.integrate(self.values)))
-
 
 ScalarField = Union[Callable[[np.ndarray], np.ndarray], np.ndarray, float, None]
 
@@ -210,9 +208,6 @@ class Trajectory2:
     def norm_sq(self) -> float:
         return float(self.grid.integrate(np.abs(self.y1) ** 2 + np.abs(self.y2) ** 2))
 
-    def scaled(self, c) -> "Trajectory2":
-        return Trajectory2(self.grid, c * self.y1, c * self.y2)
-
 
 @dataclass(frozen=True)
 class BoundaryAngles:
@@ -276,6 +271,20 @@ def pauli_algebra_selftest() -> bool:
     ok = ok and np.array_equal(S3 @ B, -S2 + 0j)
     ok = ok and np.array_equal(S1 / 1j, B + 0j)
     return bool(ok)
+
+
+# --- JSON files: sorted keys, one-space indent, trailing newline -------------
+
+
+def write_json(obj, path) -> None:
+    with open(path, "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, default=str)
+        fh.write("\n")
+
+
+def read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
 
 
 # --- CSV interface: header x,p,q, one row per node ---------------------------

@@ -18,7 +18,6 @@ is one lifted endpoint sweep over the batch of unconverged roots.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -34,6 +33,8 @@ from .core import (
     PotentialMatrix,
     Trajectory2,
     inner_product,
+    read_json,
+    write_json,
 )
 from .cauchy import initial_state, propagate, turn_bound
 
@@ -112,14 +113,11 @@ class SpectralData:
         return SpectralData(angles, items)
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @staticmethod
     def load(path) -> "SpectralData":
-        with open(path) as fh:
-            return SpectralData.from_dict(json.load(fh))
+        return SpectralData.from_dict(read_json(path))
 
 
 def char_function(pot: PotentialMatrix, alpha, beta, lam):

@@ -232,7 +232,12 @@ def solve_gl(series: GLSeriesKernel, grid: Grid) -> GLKernel:
         G_j = -(2/h) (I + sigma_k B_k^T B_k)^{-1} B_k^T Q_k,
     Q_k the rows of pair k of Q, and the next block start has
     H^{-1} - Q^T Q.  No R x R system is factored.
+
+    The reference lattice and the Bessel argument both need the grid to
+    span [0, pi]; any other grid is refused.
     """
+    if abs(grid.a) > 1e-12 or abs(grid.b - np.pi) > 1e-12:
+        raise ContractError(f"the GL solve needs a grid on [0, pi], got [{grid.a}, {grid.b}]")
     if series.trunc * 8 > grid.m:
         raise ContractError("truncation too large for the grid: need N <= m/8")
     ns = series.ordered_indices()

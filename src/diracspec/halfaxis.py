@@ -1,9 +1,12 @@
 """Half-axis model operator, spectral-data surgery, and Weyl asymptotics.
 
-The model operator has p = 0 and q(x) = x.  On the whole axis its
-eigenvalues are sign(n) sqrt(2|n|) with Hermite-function eigenvectors; on
-the half axis with the boundary condition y1(0) = 0 the eigenvalues are
-2 sign(k) sqrt(|k|), with closed-form norming constants.  Starting from
+The model operator has p = 0 and q(x) = x, whose whole-axis eigenvalues
+sign(n) sqrt(2|n|) carry Hermite-function eigenvectors.  On the half axis
+with the boundary condition y1(0) = 0 (flavour half_bc0) the eigenvalues
+are 2 sign(k) sqrt(|k|), the eigenvectors are the whole-axis ones of index
+2k, all read from one Hermite recurrence, and the norming constants have
+closed form; with y2(0) = 0 (half_bc_pi2) only the eigenvalues, those of
+odd whole-axis index, are kept, as the second spectrum.  Starting from
 this model one can remove, add, or rescale finitely many spectral-data
 entries; each edit is a finite-rank change of the spectral function, so
 ``finite_rank`` gives the new potential and retained eigenfunctions from
@@ -21,7 +24,6 @@ refines them.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -38,6 +40,8 @@ from .core import (
     InterlacingError,
     PotentialMatrix,
     Trajectory2,
+    read_json,
+    write_json,
 )
 
 SQRT_PI = math.sqrt(math.pi)
@@ -45,6 +49,8 @@ SQRT_PI = math.sqrt(math.pi)
 SCAN_MESH = 16
 # half-step of the central difference in evf_halfaxis_derivative
 EVF_DELTA = 1e-3
+# imaginary parts MU_MAX and MU_MAX / 2 of two_spectra_constant's Richardson pair
+MU_MAX = 1e3
 
 
 def linear_potential(x_max: float, m: int = 4096) -> PotentialMatrix:
@@ -58,32 +64,25 @@ def suggest_x_max(lam_max: float) -> float:
 
 
 def hermite_phi(n: int, x) -> np.ndarray:
-    """Orthonormal Hermite function, stable normalized recurrence.
+    """Orthonormal Hermite function phi_n, the last row of ``_hermite_table``."""
+    return _hermite_table(n, x)[n]
 
-    phi_{n+1} = x sqrt(2/(n+1)) phi_n - sqrt(n/(n+1)) phi_{n-1}; values stay
-    bounded, so there is no overflow even for n in the hundreds.
+
+def _hermite_table(kmax: int, x) -> np.ndarray:
+    """phi_0 ... phi_kmax at x, shape (kmax + 1, len(x)), from one recurrence.
+
+    phi_{k+1} = x sqrt(2/(k+1)) phi_k - sqrt(k/(k+1)) phi_{k-1} with
+    phi_{-1} = 0; values stay bounded, so there is no overflow even for k
+    in the hundreds.
     """
-    return _hermite_pair(n, x)[1]
-
-
-def _hermite_pair(n: int, x) -> tuple[np.ndarray, np.ndarray]:
-    """(phi_{n-1}, phi_n) from one recurrence; phi_{-1} = 0."""
-    if n < 0:
+    if kmax < 0:
         raise ContractError("Hermite index must be nonnegative")
     x = np.asarray(x, dtype=float)
-    prev = np.zeros_like(x)
-    cur = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
-    for k in range(n):
-        prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(
-            k / (k + 1)
-        ) * prev
-    return prev, cur
-
-
-def _whole_axis_eigvec(n: int, x: np.ndarray) -> np.ndarray:
-    """Whole-axis eigenvector for index n, shape (2, len(x))."""
-    top, bottom = _hermite_pair(abs(n), x)
-    return np.stack([math.copysign(1.0, n) * top, bottom])
+    phi = np.zeros((kmax + 2,) + x.shape)  # row 0 holds phi_{-1}
+    phi[1] = np.pi ** (-0.25) * np.exp(-0.5 * x * x)
+    for k in range(kmax):
+        phi[k + 2] = x * math.sqrt(2.0 / (k + 1)) * phi[k + 1] - math.sqrt(k / (k + 1)) * phi[k]
+    return phi[1:]
 
 
 def half_bc0_norming(k: int) -> float:
@@ -100,7 +99,7 @@ def half_bc0_norming(k: int) -> float:
 class ModelSpectrum:
     """Closed-form spectral data of the model operator."""
 
-    flavor: str  # whole | half_bc0 | half_bc_pi2
+    flavor: str  # half_bc0: y1(0) = 0, full data | half_bc_pi2: y2(0) = 0, eigenvalues only
     window: int
     lams: dict[int, float]
     norming: dict[int, float] | None
@@ -110,10 +109,6 @@ class ModelSpectrum:
         if window < 0:
             raise ContractError("window must be nonnegative")
         rng = range(-window, window + 1)
-        if flavor == "whole":
-            lams = {n: math.copysign(math.sqrt(2.0 * abs(n)), n) if n else 0.0
-                    for n in rng}
-            return ModelSpectrum(flavor, window, lams, None)
         if flavor == "half_bc0":
             lams = {n: 2.0 * math.copysign(math.sqrt(abs(n)), n) if n else 0.0
                     for n in rng}
@@ -128,26 +123,25 @@ class ModelSpectrum:
             return ModelSpectrum(flavor, window, lams, None)
         raise ContractError(f"unknown flavor {flavor!r}")
 
-    def eigenfunction(self, n: int, x) -> np.ndarray:
-        """Eigenvector samples, shape (2, len(x))."""
-        x = np.asarray(x, dtype=float)
-        if self.flavor == "whole":
-            return _whole_axis_eigvec(n, x)
-        if self.flavor == "half_bc0":
-            u = _whole_axis_eigvec(2 * n, x)
-            phi0 = hermite_phi(2 * abs(n), np.array([0.0]))[0]
-            return -u / phi0
-        u = _whole_axis_eigvec(2 * n - 1, x)
-        return u / np.max(np.abs(u))
+    def eigenfunctions(self, ns, x) -> np.ndarray:
+        """Eigenvectors at the indices ns, shape (len(ns), 2, len(x)).
 
-    def to_dict(self) -> dict:
-        items = []
-        for n in sorted(self.lams):
-            it = {"n": n, "lambda": self.lams[n]}
-            if self.norming is not None:
-                it["a"] = self.norming[n]
-            items.append(it)
-        return {"flavor": self.flavor, "window": self.window, "items": items}
+        The half_bc0 eigenvector of index n is the whole-axis one of index
+        2n, (sign(n) phi_{2|n|-1}, phi_{2|n|}), divided by -phi_{2|n|}(0) so
+        that it starts at initial_state(0) = (0, -1).  Every vector and its
+        normaliser come from one Hermite table, taken on x and the point 0.
+        """
+        if self.flavor != "half_bc0":
+            raise ContractError("eigenvectors are tabulated for the half_bc0 model only")
+        ns = np.asarray(ns, dtype=int)
+        ks = 2 * np.abs(ns)
+        phi = _hermite_table(int(ks.max(initial=0)), np.append(np.asarray(x, dtype=float), 0.0))
+        u = np.zeros((ks.size, 2, phi.shape[1] - 1))  # phi_{-1} = 0 tops index 0
+        pos = ks > 0
+        u[pos, 0] = np.copysign(1.0, ns[pos])[:, None] * phi[ks[pos] - 1, :-1]
+        u[:, 1] = phi[ks, :-1]
+        u /= -phi[ks, -1][:, None, None]
+        return u
 
 
 @dataclass(frozen=True)
@@ -200,14 +194,11 @@ class SurgeryPlan:
         )
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as f:
-            json.dump(self.to_dict(), f, indent=1, sort_keys=True)
-            f.write("\n")
+        write_json(self.to_dict(), path)
 
     @staticmethod
     def load(path) -> "SurgeryPlan":
-        with open(path) as f:
-            return SurgeryPlan.from_dict(json.load(f))
+        return SurgeryPlan.from_dict(read_json(path))
 
 
 def model_spectrum(flavor: str, n_window: int) -> ModelSpectrum:
@@ -238,25 +229,24 @@ def surgery(base: ModelSpectrum, plan: SurgeryPlan, grid: Grid) -> SurgeryResult
     plan.validate_against(base)
     xs = grid.nodes
     ret_idx = [n for n in range(-base.window, base.window + 1) if n not in plan.removals]
+    edited = sorted(plan.removals) + [n for n, _ in plan.rescalings]
+    vecs = base.eigenfunctions(edited + ret_idx, xs)
+    psi, kept = vecs[:len(edited)], vecs[len(edited):]
     steps = plan_steps(base, plan)
     if not steps:
         pot = PotentialMatrix.from_samples(np.zeros_like(xs), xs.copy(), grid)
-        retained = {n: Trajectory2(grid, *base.eigenfunction(n, xs)) for n in ret_idx}
+        retained = {n: Trajectory2(grid, v[0], v[1]) for n, v in zip(ret_idx, kept)}
         return SurgeryResult(pot, retained, [])
 
     nus, gamma, a = (np.array(v, dtype=float) for v in zip(*steps))
     eig = np.where(np.isnan(a), np.nan, nus)
-    edited = sorted(plan.removals) + [n for n, _ in plan.rescalings]
     mus = nus[len(edited):]
-    cols = [base.eigenfunction(n, xs) for n in edited]
     if plan.additions:
         model = PotentialMatrix(None, lambda x: x, grid)
         Y = propagate(model, grid, mus, initial_state(0.0), store=True)
-        cols += list(Y.transpose(1, 0, 2))
-    psi = np.stack(cols)
+        psi = np.concatenate([psi, Y.transpose(1, 0, 2)])
     G, dp, dq = finite_rank.solve(psi, gamma, grid, eig, a)
     pot = PotentialMatrix.from_samples(dp, xs + dq, grid)
-    kept = np.stack([base.eigenfunction(n, xs) for n in ret_idx])
     kept = finite_rank.transform(G, psi, kept, grid, eig, a, [base.lams[n] for n in ret_idx])
     retained = {n: Trajectory2(grid, v[0], v[1]) for n, v in zip(ret_idx, kept)}
     added = []
@@ -502,10 +492,10 @@ def _c_product(a, b, N, mu):
     return pv_product(b[nz] * np.hypot(a[nz], mu), a[nz] * np.hypot(b[nz], mu), ks[nz])
 
 
-def two_spectra_constant(la, lb, N, mu_max: float = 1e3) -> float:
+def two_spectra_constant(la, lb, N) -> float:
     """The positive constant c, via Richardson in the 1/mu^2 error variable."""
     a, b = _window(la, N), _window(lb, N)
-    pinf = (4.0 * _c_product(a, b, N, mu_max) - _c_product(a, b, N, mu_max / 2.0)) / 3.0
+    pinf = (4.0 * _c_product(a, b, N, MU_MAX) - _c_product(a, b, N, MU_MAX / 2.0)) / 3.0
     if pinf <= 0:
         raise ContractError("degenerate normalization product")
     return 1.0 / pinf
@@ -518,7 +508,6 @@ def halfaxis_two_spectra_norming(
     beta: float,
     n: int,
     N: int = 400,
-    mu_max: float = 1e3,
 ) -> float:
     """a_n(alpha) from the spectra at angles alpha and beta.
 
@@ -530,7 +519,7 @@ def halfaxis_two_spectra_norming(
     ok = ((b[:-1] < a[:-1]) & (a[:-1] < b[1:])) | ((a[:-1] < b[:-1]) & (b[:-1] < a[1:]))
     if not np.all(ok):
         raise InterlacingError(f"spectra fail to alternate near index {np.argmin(ok) - N}")
-    c = two_spectra_constant(spec_a, spec_b, N, mu_max)
+    c = two_spectra_constant(spec_a, spec_b, N)
     ks = np.arange(-N, N + 1)
     lam_n = spec_a[n]
     nz, kn = ks != 0, ks != n
@@ -544,7 +533,6 @@ def one_spectrum_norming_halfaxis(
     alpha: float,
     n: int,
     N: int = 400,
-    mu_max: float = 1e3,
 ) -> float:
     """a_n(alpha) from a single spectrum when p = 0.
 
@@ -559,5 +547,4 @@ def one_spectrum_norming_halfaxis(
     # the boundary angle is defined mod pi; pick the representative of
     # -alpha that keeps sin(beta - alpha) positive
     beta = (-alpha) % math.pi
-    return halfaxis_two_spectra_norming(spec_a, spec_b, alpha, beta, n,
-                                        N=N, mu_max=mu_max)
+    return halfaxis_two_spectra_norming(spec_a, spec_b, alpha, beta, n, N=N)

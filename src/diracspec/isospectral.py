@@ -25,7 +25,6 @@ sqrt(dp^2 + dq^2) pointwise.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +36,8 @@ from .core import (
     Grid,
     PotentialMatrix,
     Trajectory2,
+    read_json,
+    write_json,
 )
 from . import finite_rank
 from .eigen import _normed_trajectories, find_eigenvalues
@@ -70,14 +71,11 @@ class TSequence:
         return TSequence({int(e["n"]): float(e["t"]) for e in obj["entries"]})
 
     def save(self, path) -> None:
-        with open(path, "w", newline="\n") as fh:
-            json.dump(self.to_dict(), fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_json(self.to_dict(), path)
 
     @staticmethod
     def load(path) -> "TSequence":
-        with open(path) as fh:
-            return TSequence.from_dict(json.load(fh))
+        return TSequence.from_dict(read_json(path))
 
 
 @dataclass

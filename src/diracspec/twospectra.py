@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    BoundaryAngles,
     ContractError,
     DiracError,
     InconsistentDataError,
@@ -149,10 +150,8 @@ def weyl_m(
 
 def _reflected(spec: SpectralData, eps: float) -> SpectralData:
     """Second spectrum synthesized by lam_k(eps) = -lam_{-k}(alpha)."""
-    from .core import BoundaryAngles
-
     items = {}
-    for n, d in spec.items.items():
+    for n in spec.items:
         if -n in spec.items:
             items[n] = SpectralDatum(n, -spec.items[-n].lam)
     return SpectralData(BoundaryAngles.make(eps, spec.angles.beta), items)
@@ -195,15 +194,13 @@ def one_spectrum_norming_q0(
     return norming_from_two_spectra(inp, n)
 
 
-def ambarzumyan_residual(spec: SpectralData, kind: str = "p0") -> float:
+def ambarzumyan_residual(spec: SpectralData) -> float:
     """max_n |lam_n - (n + (beta-alpha)/pi)| over the stored window.
 
     A residual at solver-tolerance level is the hypothesis of the
-    Ambarzumyan-type statements: for kind 'p0' (beta = 0) it forces q = 0,
-    for kind 'q0' (beta = pi/4) it forces p = 0.
+    Ambarzumyan-type statements: with beta = 0 it forces q = 0, with
+    beta = pi/4 it forces p = 0.
     """
-    if kind not in ("p0", "q0"):
-        raise ContractError(f"unknown kind {kind!r}")
     delta = (spec.angles.beta - spec.angles.alpha) / np.pi
     return float(
         max(abs(d.lam - (n + delta)) for n, d in spec.items.items())

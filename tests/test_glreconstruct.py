@@ -469,6 +469,17 @@ def test_truncation_grid_guard():
         solve_gl(series, grid)
 
 
+def test_solve_gl_refuses_a_grid_off_zero_pi():
+    """The reference lattice and the Cholesky's positivity assume [0, pi]; past
+    pi the collocation system of a_1 = pi e^2 turns singular near x = 3.63."""
+    data = _rank_one_data(10, 1, -2.0)
+    for grid in (Grid(0.0, 4.0, 128), Grid(0.5, math.pi, 128)):
+        with pytest.raises(ContractError, match=r"\[0, pi\]"):
+            solve_gl(GLSeriesKernel.make(data, 10), grid)
+        with pytest.raises(ContractError, match=r"\[0, pi\]"):
+            reconstruct(data, grid, 10)
+
+
 def test_rank_one_recovers_family_member():
     m, t0 = 1, 0.5
     grid = Grid(0.0, math.pi, 512)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diracspec.cauchy import initial_state
 from diracspec.core import (
     ContractError,
     DomainError,
@@ -14,7 +15,7 @@ from diracspec.core import (
 from diracspec.halfaxis import (
     ModelSpectrum,
     SurgeryPlan,
-    _whole_axis_eigvec,
+    _hermite_table,
     evf_halfaxis,
     evf_halfaxis_derivative,
     general_finite_perturbation,
@@ -43,23 +44,60 @@ def test_hermite_orthonormal():
 
 
 def _hermite_from_zero(n, x):
-    """One recurrence from index 0 per call, the reference for the pair."""
+    """One recurrence from index 0 per call, the reference for the table."""
     prev, cur = np.zeros_like(x), np.pi ** (-0.25) * np.exp(-0.5 * x * x)
     for k in range(n):
         prev, cur = cur, x * math.sqrt(2.0 / (k + 1)) * cur - math.sqrt(k / (k + 1)) * prev
     return cur
 
 
-def test_whole_axis_eigvec_is_two_recurrences_bit_for_bit():
+def _bitwise_equal(a, b):
+    return np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_hermite_table_and_eigenfunctions_bit_for_bit():
     xs = np.linspace(-38.0, 38.0, 153)  # reaches the subnormal tails
     ref = [_hermite_from_zero(k, xs) for k in range(301)]
+    table = _hermite_table(300, xs)
+    assert table.shape == (301, xs.size)
     for k in range(301):
-        assert np.array_equal(hermite_phi(k, xs), ref[k])
-        for n in {k, -k}:
-            top = math.copysign(1.0, n) * ref[k - 1] if k else np.zeros_like(xs)
-            got = _whole_axis_eigvec(n, xs)
-            assert np.array_equal(got, np.stack([top, ref[k]]))
-            assert np.array_equal(np.signbit(got), np.signbit(np.stack([top, ref[k]])))
+        assert _bitwise_equal(table[k], ref[k])
+        assert _bitwise_equal(hermite_phi(k, xs), ref[k])
+    # half_bc0 index n: the whole-axis vector of index 2n over -phi_{2|n|}(0)
+    ns = list(range(-150, 151))
+    got = model_spectrum("half_bc0", 150).eigenfunctions(ns, xs)
+    assert got.shape == (len(ns), 2, xs.size)
+    for n, v in zip(ns, got):
+        k = 2 * abs(n)
+        top = math.copysign(1.0, n) * ref[k - 1] if k else np.zeros_like(xs)
+        want = -np.stack([top, ref[k]]) / _hermite_from_zero(k, np.array([0.0]))[0]
+        assert _bitwise_equal(v, want)
+
+
+def test_eigenfunctions_start_at_the_boundary_state():
+    got = model_spectrum("half_bc0", 40).eigenfunctions(range(-40, 41), np.array([0.0, 1.0]))
+    assert np.all(got[:, :, 0] == initial_state(0.0))
+    with pytest.raises(ContractError):  # the y2(0) = 0 model keeps eigenvalues only
+        model_spectrum("half_bc_pi2", 2).eigenfunctions([0], np.array([0.0]))
+
+
+def test_surgery_runs_one_hermite_recurrence(monkeypatch):
+    from diracspec import halfaxis
+
+    calls = []
+
+    def counted(kmax, x):
+        calls.append(kmax)
+        return _hermite_table(kmax, x)
+
+    monkeypatch.setattr(halfaxis, "_hermite_table", counted)
+    base = model_spectrum("half_bc0", 8)
+    for plan in (SurgeryPlan(), SurgeryPlan(removals=frozenset({0})),
+                 SurgeryPlan(removals=frozenset({2}), additions=((1.1, 1.0),),
+                             rescalings=((-1, 1.7 * half_bc0_norming(1)),))):
+        calls.clear()
+        surgery(base, plan, Grid(0.0, 12.0, 512))
+        assert calls == [16]
 
 
 def test_model_norming_closed_forms():
@@ -72,8 +110,7 @@ def test_model_norming_by_quadrature():
     base = model_spectrum("half_bc0", 3)
     xs = GRID12.nodes
     w = GRID12.trapezoid_weights()
-    for n in (0, 1, 2):
-        u = base.eigenfunction(n, xs)
+    for n, u in zip((0, 1, 2), base.eigenfunctions([0, 1, 2], xs)):
         a = float(w @ (u[0] ** 2 + u[1] ** 2))
         assert a == pytest.approx(base.norming[n], abs=1e-8)
 
