@@ -25,35 +25,39 @@ parts are precomputed once per (potential, grid), as one (3, m, 2) table of
 [Q P] rows, and every sweep is vectorized over a whole batch of lambda
 values: a block's exponents are one BLAS product of its rows with the (2, K)
 rows [lambda; 1], negated (exactly) for a backward sweep.  The grid is
-walked in blocks of about 16384 lambda-steps, under 2 MB of live
-temporaries, which bounds the working set at any batch size.  The step
-exponentials of a block are built at once as one (2, 2, steps, K) stack
-and, the step product being associative, combined without a per-step loop
-(real 2x2 products are one einsum pass each):
+walked in blocks of a power of two lambda-steps, near 16384 in all and under
+2 MB of live temporaries at any batch size, the rest in blocks of its binary
+digits.  A block's rows are kept in bit-reversed step order (Cooley and
+Tukey), so its step exponentials form one flat (2, 2, steps*K) stack whose
+first half holds the even steps and second half the odd ones; the step
+product being associative, they combine without a per-step loop, each
+product taking two contiguous halves (real 2x2 products: one einsum pass):
 
-* pairwise (tree) rounds multiply neighbouring factors, halving the stack;
-* an odd-even scan then gives the state after every remaining factor: pair
-  products halve the stack, the recursion gives the state after every pair,
-  and one more factor each the states in between, about n products and n
-  applications for n factors.  An endpoint sweep scans its block product
-  alone, a stored sweep every step; either scans node-major into a
-  contiguous (2, 1, n+1, K) buffer for the block's n factors, which a
-  stored sweep copies once into its (2, K, m+1) history;
+* tree rounds multiply the second half by the first, which gives the pair
+  products, again bit-reversed, up to the block product;
+* the scan comes back down the tree: the states before a level's even
+  factors are those before the level above, and those factors applied to
+  them give the states before the odd ones -- about n products and n
+  applications for n factors, written into halves of one buffer, which a
+  stored sweep takes back to node order once into its (2, K, m+1) history;
 * a renormalised sweep divides every pair product and every state by its
-  largest entry once that exceeds 1e100: a positive factor, so signs and
-  ratios -- all a caller of a stiff half-axis sweep reads -- survive.
+  largest entry once that exceeds 1e100 (a positive factor, so signs and
+  ratios -- all a caller of a stiff half-axis sweep reads -- survive); it
+  skips each check that ||exp(M)||_2 <= exp(||M||_F) shows cannot fire.
 
 An endpoint sweep, renormalised or not, can also lift the angle Theta of
 y = r(sin Theta, -cos Theta).  A step exp(M), M = ((a, b), (c, -a)), turns
 every ray by mu = (c - b)/2 within +-|S| = hypot(a, (b + c)/2); for
 M = P + lambda*Q, mu is mu(P) + lambda*h and |S| <= |S(P)| + |lambda| |S(Q)|.
-Its trees stop at segments whose bounds sum to at most pi/2; the scan gives
+Its scans stop at segments whose bounds sum to at most pi/2 and give
 the state at every segment end, where one arctan2 per lambda fixes the
 segment's whole turn.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -77,6 +81,7 @@ _SH = np.array([1.0 / math.factorial(2 * k + 1) for k in range(20)])
 _BLOCK = 16384
 # renormalisation threshold; a product of two factors below it cannot overflow
 _HUGE = 1e100
+_LOG_SAFE = math.log(_HUGE) - 1.0  # log(_HUGE/e): a norm bound below it leaves e for rounding
 
 
 @dataclass(frozen=True)
@@ -122,19 +127,29 @@ def _step_coeffs(pot: PotentialMatrix, grid: Grid):
 
 
 def _turn_data(pot: PotentialMatrix, grid: Grid):
-    """Per-step rotation rates (mu(P), mu(Q)) and turn bounds, kept like _step_coeffs."""
+    """Per-step rotation rates (mu(P), mu(Q)), turn bounds d_P, d_Q and lift limits.
+
+    Limit r is the largest |lambda| at which every window of 2^r steps (at
+    most the grid) turns rays by W_P + |lambda| W_Q <= pi/2 in all, W the
+    window's sums of the bounds.  Kept like _step_coeffs.
+    """
     tables = pot.__dict__.setdefault("_turn_tables", {})
     if grid not in tables:
         a, b, c = _step_coeffs(pot, grid).swapaxes(0, 1)
         mu = 0.5 * (c - b)
         s = np.hypot(a, 0.5 * (b + c))
-        tables[grid] = mu, np.abs(mu[0]) + s[0], s[1]
+        d_p, d_q = np.abs(mu[0]) + s[0], s[1]
+        cp, cq = (np.concatenate([[0.0], np.cumsum(d)]) for d in (d_p, d_q))
+        ws = [min(2**r, grid.m) for r in range((grid.m - 1).bit_length() + 1)]
+        with np.errstate(divide="ignore", invalid="ignore"):  # fmin skips 0/0: pi/2 at any lambda
+            lim = [np.fmin.reduce((0.5 * np.pi - (cp[w:] - cp[:-w])) / (cq[w:] - cq[:-w])) for w in ws]
+        tables[grid] = mu, d_p, d_q, np.minimum.accumulate(lim)
     return tables[grid]
 
 
 def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
     """(W0, W1) with |Theta(b) - Theta(a) - lambda*(b - a)| <= W0 + |lambda| W1 at real lambda."""
-    mu, d_p, d_q = _turn_data(pot, grid)
+    mu, d_p, d_q, _ = _turn_data(pot, grid)
     return float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu[1]) - (grid.b - grid.a)))
 
 
@@ -202,13 +217,13 @@ def _expm_tracefree(a, b, c):
 
 
 def _mul(x, y, out=None):
-    """Stacked 2x2 products x @ y of (2, 2, ...) arrays; y may be a (2, 1, ...) column.
+    """Stacked 2x2 products x @ y of flat (2, 2, n) stacks; y may be a (2, 1, n) column.
 
     Real stacks take one einsum pass; complex ones two calls, which keep the
     planar formulas' rounding (einsum's complex sum differs by an ulp).
     """
     if x.dtype.kind == y.dtype.kind == "f":
-        return np.einsum("ilnk,ljnk->ijnk", x, y, out=out)
+        return np.einsum("ilx,ljx->ijx", x, y, out=out)
     out = np.multiply(x[:, 0, None], y[0], out=out)
     out += x[:, 1, None] * y[1]
     return out
@@ -221,40 +236,71 @@ def _rescale(x):
     return x / np.where(mask, big, 1.0) if mask.any() else x
 
 
-def _tree_product(E, renorm: bool, rounds: int):
-    """Pairwise products of the (2, 2, n, K) stack E along axis 2, `rounds` times.
+@functools.lru_cache(maxsize=16)
+def _bitrev(n: int) -> np.ndarray:
+    """0 .. n-1 in bit-reversed order, n a power of two (read-only)."""
+    br = np.zeros(1, dtype=np.intp)
+    while br.size < n:
+        br = np.concatenate([2 * br, 2 * br + 1])
+    br.flags.writeable = False
+    return br
 
-    Each round halves the stack and an odd last factor moves to the next round
-    unchanged, so after r rounds entry i is the ordered product of factors
-    [i 2^r, (i+1) 2^r); enough rounds leave the whole product E[n-1] ... E[0].
+
+def _sweep_table(pot: PotentialMatrix, grid: Grid, B: int):
+    """The (3, m, 2) [Q P] table, each sweep block bit-reversed, and the blocks (lo, hi, g, peak).
+
+    Blocks hold B steps, then the binary digits of the rest, largest first: powers of two, none
+    padded.  g and peak are the sum and the largest of ||Q_j||_F and of ||P_j||_F over the
+    block's steps, each a (Q, P) pair.  Kept per (grid, B) beside _step_coeffs.
     """
-    for _ in range(rounds):
-        n = E.shape[2]
-        if n == 1:
-            break
-        P = _mul(E[:, :, 1::2], E[:, :, 0 : n - 1 : 2])
-        if renorm:
-            P = _rescale(P)
-        E = np.concatenate([P, E[:, :, n - 1 :]], axis=2) if n % 2 else P
-    return E
+    tables = pot.__dict__.setdefault("_step_tables", {})
+    if (grid, B) not in tables:
+        m = grid.m
+        sizes = [B] * (m // B) + [1 << i for i in range(B.bit_length() - 1, -1, -1) if m % B >> i & 1]
+        bounds = [0, *itertools.accumulate(sizes)]
+        perm = np.concatenate([lo + _bitrev(n) for lo, n in zip(bounds, sizes)])
+        QP = _step_coeffs(pot, grid)[::-1].transpose(1, 2, 0)
+        # ||M||_F^2 = 2a^2 + b^2 + c^2 for M = ((a, b), (c, -a)), per step of Q and of P
+        frob = np.sqrt(2.0 * QP[0] ** 2 + QP[1] ** 2 + QP[2] ** 2)
+        g, peak = (f.reduceat(frob, bounds[:-1], axis=0).tolist() for f in (np.add, np.maximum))
+        blocks = list(zip(bounds, bounds[1:], g, peak))
+        tables[grid, B] = np.take(QP, perm, axis=1), blocks
+    return tables[grid, B]
 
 
-def _scan(E, Y, renorm: bool):
-    """Fill the (2, 1, n+1, K) states Y[:, :, k+1] = E[k] ... E[0] Y[:, :, 0] in place.
+def _block_states(E, y, keep: int, rate):
+    """States along a sweep block from the (2, 1, K) states y, as one (2, c+1, K) buffer.
 
-    Odd-even scan: the pair products E[2j+1] E[2j] halve the stack, the
-    recursion fills the state after every pair (the even slots), and one more
-    factor each gives the odd slots: about n products and n applications.
-    Under renorm the pair products and the new states are rescaled.
+    E holds the block's n = 2^j factors at bit-reversed positions, shape (2, 2, n, K); the tree
+    and the scan see it as one flat (2, 2, nK) stack (see the module docstring).  The tree goes
+    up to the block product and the scan back down to level min(keep, j), whose c factors span
+    2^keep steps each: the buffer holds the states before them, bit-reversed, then the end
+    state.  Unless rate is None every new state is rescaled, and so is every product of 2^r
+    steps unless its norm bound exp(2^r rate), rate bounding each step's log norm, stays below
+    _HUGE/e.
     """
-    n = E.shape[2]
-    if n > 1:
-        P = _mul(E[:, :, 1::2], E[:, :, 0 : n - 1 : 2])
-        _scan(_rescale(P) if renorm else P, Y[:, :, ::2], renorm)
-    if renorm:
-        Y[:, :, 1::2] = _rescale(_mul(E[:, :, ::2], Y[:, :, 0:n:2]))
-    else:
-        _mul(E[:, :, ::2], Y[:, :, 0:n:2], out=Y[:, :, 1::2])
+    n, K = E.shape[2:]
+    j = n.bit_length() - 1
+    levels = [E.reshape(2, 2, -1)]
+    for r in range(1, j + 1):
+        h = (n >> r) * K
+        P = _mul(levels[-1][:, :, h:], levels[-1][:, :, :h])
+        # level r - 1 stays only if the scan reads it
+        levels = levels[r <= keep :] + [P if rate is None or 2**r * rate < _LOG_SAFE else _rescale(P)]
+    c = n >> min(keep, j)
+    X = np.empty((2, c + 1, K), dtype=y.dtype)
+    X[:, :1] = y
+    flat = X.reshape(2, 1, -1)
+    # (factors, first slot written): the block product for the end state, then
+    # each level's even factors, top down
+    evens = [(G[:, :, : G.shape[2] // 2], G.shape[2] // 2) for G in levels[-2::-1]]
+    for G, at in [(levels[-1], c * K)] + evens:
+        h = G.shape[2]
+        if rate is None:
+            _mul(G, flat[:, :, :h], out=flat[:, :, at : at + h])
+        else:
+            flat[:, :, at : at + h] = _rescale(_mul(G, flat[:, :, :h]))
+    return X
 
 
 def propagate(
@@ -293,75 +339,67 @@ def propagate(
     y0 = np.broadcast_to(np.asarray(y0, dtype=dtype).reshape(2, -1), (2, K))
     m = grid.m
     step = 1 if direction > 0 else -1
-    # the (3, m, 2) table of [Q P] rows behind the (P, Q) view; a block's exponents
-    # (a, b, c) are its rows times L = [lambda; 1], one real BLAS product (complex
-    # L as interleaved real columns), and -L (exact) gives exp(-M)
-    QP = _step_coeffs(pot, grid)[::-1].transpose(1, 2, 0)
+    # a block's exponents (a, b, c) are its [Q P] rows times L = [lambda; 1], one
+    # real BLAS product (complex L as interleaved real columns), and -L (exact)
+    # gives exp(-M)
     L = np.empty((2, K), dtype=np.result_type(lam, float))
     L[0], L[1] = step * lam, step
     Lr = L.view(float)
-    block = max(8, _BLOCK // max(K, 1))
-    blocks = [(s, min(s + block, m)) for s in range(0, m, block)][::step]
-    # tree rounds per block: none keeps every step, m leaves the block product
-    rounds = 0 if store else m
+    # blocks of a power of two steps, nearest in log scale to _BLOCK // K
+    B = min(1 << round(math.log2(max(8, _BLOCK // max(K, 1)))), 1 << (m.bit_length() - 1))
+    QP, blocks = _sweep_table(pot, grid, B)
+    # the tree level whose states the scan gives: every step stored, else the block product
+    keep = 0 if store else m
+    lam_top = float(np.max(np.abs(lam), initial=0.0)) if renorm or angle else 0.0
     if angle:
-        mu, d_p, d_q = _turn_data(pot, grid)
-        rounds = _lift_rounds(d_p + np.max(np.abs(lam), initial=0.0) * d_q)
+        mu, _, _, lam_max = _turn_data(pot, grid)
+        keep = _lift_rounds(lam_max, lam_top)
         mu = step * mu
         theta, turns = np.arctan2(y0[0], -y0[1]), np.zeros(K)
-    # states are (2, 1, nodes, K) columns, scanned block by block node-major; a
-    # stored sweep copies each block's states into its history once
-    y = y0[:, None, None]
+    y = y0[:, None]
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
-        Y[:, :, 0 if step > 0 else m] = y0
 
-    for s, e in blocks:
-        E = _expm_tracefree(*(QP[:, s:e] @ Lr).view(L.dtype))
-        T = _tree_product(E[:, ::step].reshape(2, 2, e - s, K), renorm, rounds)
-        ys = np.empty((2, 1, T.shape[2] + 1, K), dtype=dtype)
-        ys[:, :, :1] = y
-        # the state at every segment end, scaled by positive factors if renorm
-        _scan(T, ys, renorm)
+    for lo, hi, (g_q, g_p), (peak_q, peak_p) in blocks[::step]:
+        n = hi - lo
+        # backward, bitrev(n-1-i) = n-1-bitrev(i): the block's rows reversed (16-byte copies)
+        rows = QP[:, lo:hi] if step > 0 else QP[:, lo:hi].view(complex)[:, ::-1].copy().view(float)
+        E = _expm_tracefree(*(rows @ Lr).view(L.dtype)).reshape(2, 2, n, K)
+        # ||exp(M)||_2 <= exp(||M||_F) and ||M||_F <= ||P||_F + |lambda| ||Q||_F bound the
+        # block's products, times 1 + sqrt(2) max|y| its states: below _HUGE/e (e for
+        # rounding) no rescale fires, else each tree level's own bound decides
+        y_big = math.log1p(math.sqrt(2.0) * float(np.max(np.abs(y), initial=0.0))) if renorm else 0.0
+        rescale = renorm and not g_p + lam_top * g_q + y_big < _LOG_SAFE
+        X = _block_states(E, y, keep, peak_p + lam_top * peak_q if rescale else None)
+        c = X.shape[1] - 1  # states before each of c segments, then the end
         if store:
-            lo = s + (step > 0)  # the nodes of ys[:, :, 1:] in sweep order
-            Y[:, :, lo : lo + e - s] = ys[:, 0, 1:][:, ::step].swapaxes(1, 2)
+            order = np.append(_bitrev(n), n)  # X's slots in sweep order: the block's nodes
+            Y[:, :, lo : hi + 1] = np.take(X, order[::step], axis=1).swapaxes(1, 2)
         if angle:
             # each segment turns every ray by rot within +-pi/2: lift exactly
-            seg = np.arange(0, e - s, 2**rounds)
-            mp, mq = np.add.reduceat(mu[:, s:e][:, ::step], seg, axis=1)[..., None]
-            new = np.arctan2(ys[0, 0, 1:], -ys[1, 0, 1:])
+            seg = np.arange(0, n, n // c)
+            mp, mq = np.add.reduceat(mu[:, lo:hi][:, ::step], seg, axis=1)[..., None]
+            ends = np.take(X, np.append(_bitrev(c)[1:], c), axis=1)
+            new = np.arctan2(ends[0], -ends[1])
             # rot minus each segment's principal difference, end minus start
             slip = mp + mq * lam - new
             slip[0] += theta
             slip[1:] += new[:-1]
             turns += np.round(slip / (2.0 * np.pi)).sum(axis=0)
             theta = new[-1]
-        y = ys[:, :, -1:]
+        y = X[:, c:]
 
     if store:
         return Y
-    y = y[:, 0, 0].copy()
+    y = y[:, 0].copy()
     return (y, theta + 2.0 * np.pi * turns) if angle else y
 
 
-def _lift_rounds(d):
-    """Largest r with every window of 2^r steps turning rays by at most pi/2 in all.
-
-    d holds the steps' turn bounds; windows longer than the grid are the grid.
-    """
-    top = np.max(d)
-    if top > 0.5 * np.pi:
+def _lift_rounds(lam_max, lam) -> int:
+    """Largest r with every window of 2^r steps turning rays at |lambda| <= lam by at most pi/2."""
+    r = int(np.searchsorted(-lam_max, -lam, side="right")) - 1
+    if r < 0:
         raise DiracError("one step turns rays by more than pi/2; refine the grid")
-    cum = np.concatenate([[0.0], np.cumsum(d)])
-    # a window of 2^r steps is bounded by 2^r top, so start from that r
-    with np.errstate(divide="ignore", over="ignore"):
-        r = int(min(np.log2(0.5 * np.pi / top), d.size.bit_length()))
-    while 2**r < d.size:
-        w = min(2 ** (r + 1), d.size)
-        if np.max(cum[w:] - cum[:-w]) > 0.5 * np.pi:
-            break
-        r += 1
     return r
 
 

@@ -18,7 +18,7 @@ is one lifted endpoint sweep over the batch of unconverged roots.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -225,11 +225,11 @@ def norming_constants(pot: PotentialMatrix, alpha: float, data: SpectralData) ->
 def _normed_trajectories(pot, alpha, data):
     """norming_constants(...) and the swept phi(., lambda_n), shape (2, K, m+1)."""
     Y = _trajectories(pot, data.lams(), alpha)
-    a = pot.domain.integrate(np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2)
+    a = pot.domain.integrate(Y[0] ** 2 + Y[1] ** 2)
     if np.any(a <= 0):
         raise ContractError("nonpositive norming constant from quadrature")
     items = {
-        n: replace(d, a=float(a[i]))
+        n: SpectralDatum(d.n, d.lam, float(a[i]), d.b, d.c)
         for i, (n, d) in enumerate(sorted(data.items.items()))
     }
     return SpectralData(data.angles, items), Y
@@ -269,10 +269,10 @@ def similarity_coefficients(
     if null.size:
         raise ContractError(f"eigenfunction numerically null at n = {data.ns()[null[0]]}")
     c = (u[0, rows, k] * phi[0, rows, k] + u[1, rows, k] * phi[1, rows, k]) / peak
-    b = pot.domain.integrate(np.abs(u[0]) ** 2 + np.abs(u[1]) ** 2)
-    a = pot.domain.integrate(np.abs(phi[0]) ** 2 + np.abs(phi[1]) ** 2)
+    b = pot.domain.integrate(u[0] ** 2 + u[1] ** 2)
+    a = pot.domain.integrate(phi[0] ** 2 + phi[1] ** 2)
     out = {
-        n: replace(d, a=float(a[i]) if d.a is None else d.a, b=float(b[i]), c=float(c[i]))
+        n: SpectralDatum(d.n, d.lam, float(a[i]) if d.a is None else d.a, float(b[i]), float(c[i]))
         for i, (n, d) in enumerate(data.items.items())
     }
     return SpectralData(data.angles, out)

@@ -306,24 +306,40 @@ def _block_exponents(monkeypatch, *args, **kwargs):
     return seen
 
 
+def _bitrev(n):
+    """0 .. n-1 in bit-reversed order, n a power of two (oracle)."""
+    j = n.bit_length() - 1
+    return np.array([int(format(k, f"0{j}b")[::-1], 2) if j else 0 for k in range(n)])
+
+
+def _sweep_order(sizes):
+    """Step indices in the order a sweep over blocks of these power-of-two sizes evaluates them."""
+    starts = np.cumsum([0] + sizes[:-1])
+    return np.concatenate([lo + _bitrev(n) for lo, n in zip(starts, sizes)])
+
+
 @pytest.mark.parametrize("cplx", [False, True])
 def test_block_exponents_are_the_affine_step_table(monkeypatch, cplx):
     """The BLAS product of the [Q P] table with [lambda; 1] is P + lambda*Q
-    within one ulp of the larger term, for real and complex lambda."""
+    within one ulp of the larger term, for real and complex lambda.  At
+    K = 257 the 300 steps go in blocks of 64, then 32, 8 and 4, each
+    bit-reversed."""
     from diracspec.cauchy import _step_coeffs
 
     g, pot = _sin_pot(300)
     lam = np.linspace(-40.0, 55.0, 257) + (0.7j if cplx else 0.0)
     got = np.concatenate(_block_exponents(monkeypatch, pot, g, lam, np.array([0.3, -0.9])), axis=1)
     P, Q = _step_coeffs(pot, g)[..., None]
-    ref = P + Q * lam
+    order = _sweep_order([64, 64, 64, 64, 32, 8, 4])
+    ref = (P + Q * lam)[:, order]
     assert got.dtype == ref.dtype and got.shape == ref.shape == (3, 300, 257)
-    assert np.all(np.abs(got - ref) <= np.spacing(np.maximum(np.abs(Q * lam), np.abs(P))))
+    assert np.all(np.abs(got - ref) <= np.spacing(np.maximum(np.abs(Q * lam), np.abs(P)))[:, order])
 
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_backward_exponents_negate_the_forward_ones(monkeypatch, cplx):
-    """A backward sweep builds exp(-M) from exactly -M: negating [lambda; 1] is exact."""
+    """A backward sweep builds exp(-M) from exactly -M: negating [lambda; 1] is
+    exact, and each backward block is the forward one in reverse order."""
     g, pot = _sin_pot(300)
     lam = np.linspace(-4.0, 11.0, 257) + (0.7j if cplx else 0.0)
     y0 = np.array([0.3, -0.9])
@@ -331,7 +347,7 @@ def test_backward_exponents_negate_the_forward_ones(monkeypatch, cplx):
     bwd = _block_exponents(monkeypatch, pot, g, lam, y0, direction=-1)
     assert len(fwd) == len(bwd) > 1
     for f, b in zip(fwd, bwd[::-1]):
-        np.testing.assert_array_equal(b, -f)
+        np.testing.assert_array_equal(b, -f[:, ::-1])
 
 
 def test_non_finite_exponents_flow_through():
@@ -352,32 +368,36 @@ def _sin_pot(m):
     return g, PotentialMatrix(lambda x: 0.3 * np.cos(x), lambda x: 2.0 * np.sin(3.0 * x), g)
 
 
-@pytest.mark.parametrize("K", [1, 7])
+@pytest.mark.parametrize("K", [1, 2, 7, 257])
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_endpoint_matches_stored_sweep(K, direction, cplx):
-    g, pot = _sin_pot(1000)
-    lam = np.linspace(-6.0, 9.0, K) + (0.7j if cplx else 0.0)
-    y0 = np.array([0.3, -0.9])
-    end = propagate(pot, g, lam, y0, direction=direction)
-    Y = propagate(pot, g, lam, y0, direction=direction, store=True)
-    last = Y[:, :, -1] if direction > 0 else Y[:, :, 0]
-    assert np.max(np.abs(end - last)) <= 1e-13 * np.max(np.abs(last))
+    """Endpoint and stored sweeps agree, also on grids that end in blocks of
+    every power of two below the batch's block length."""
+    for m in (300, 1000, 1025, 1537):
+        g, pot = _sin_pot(m)
+        lam = np.linspace(-6.0, 9.0, K) + (0.7j if cplx else 0.0)
+        y0 = np.array([0.3, -0.9])
+        end = propagate(pot, g, lam, y0, direction=direction)
+        Y = propagate(pot, g, lam, y0, direction=direction, store=True)
+        last = Y[:, :, -1] if direction > 0 else Y[:, :, 0]
+        assert np.max(np.abs(end - last)) <= 1e-13 * np.max(np.abs(last)), m
 
 
 @pytest.mark.parametrize("direction", [1, -1])
 def test_stored_sweep_matches_stepwise_reference(direction):
     """Node history against a plain loop over the same step exponentials.
 
-    At K = 257 a block holds 63 steps, so m = 64 and 65 end in blocks of 1
-    and 2 steps, and m = 300 and 1000 in odd ones; m = 1, 2, 3 and 17 are one
-    short block each."""
+    Blocks hold a power of two steps: at K = 257 64 of them, so m = 65 ends
+    in a block of 1 step and m = 300 in blocks of 32, 8 and 4; at K = 1 or 2
+    m = 1025 goes in blocks of 1024 and 1, m = 1537 in 1024, 512 and 1, and
+    m = 3 and 17 in two short blocks each."""
     from diracspec.cauchy import _expm_tracefree, _step_coeffs
 
-    for m in (1, 2, 3, 17, 64, 65, 300, 1000):
+    for m in (1, 2, 3, 17, 64, 65, 300, 1000, 1025, 1537):
         g, pot = _sin_pot(m)
         P, Q = _step_coeffs(pot, g)
-        for K, cplx in itertools.product((1, 3, 7, 257), (False, True)):
+        for K, cplx in itertools.product((1, 2, 3, 7, 257), (False, True)):
             lam = np.linspace(-4.0, 11.0, K) + (0.7j if cplx else 0.0)
             y = np.array([[0.3] * K, [-0.9] * K], dtype=lam.dtype)
             Y = propagate(pot, g, lam, y[:, 0], direction=direction, store=True)
@@ -402,18 +422,47 @@ def _planar_mul(x, y):
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_stacked_products_match_planar_bit_for_bit(cplx):
-    """The (2, 2, n, K) product and its (2, 1, n, K) state application make the
+    """The flat (2, 2, n) product and its (2, 1, n) state application make the
     same scalar operations in the same order as the planar formulas."""
     from diracspec.cauchy import _mul
 
     rng = np.random.default_rng(3)
     draw = lambda *shape: rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if cplx else 0.0)
-    x, y, v = draw(2, 2, 9, 5), draw(2, 2, 9, 5), draw(2, 1, 9, 5)
-    planar = _planar_mul(x.reshape(4, 9, 5), y.reshape(4, 9, 5))
-    np.testing.assert_array_equal(_mul(x, y), np.reshape(planar, (2, 2, 9, 5)))
+    x, y, v = draw(2, 2, 45), draw(2, 2, 45), draw(2, 1, 45)
+    planar = _planar_mul(x.reshape(4, 45), y.reshape(4, 45))
+    np.testing.assert_array_equal(_mul(x, y), np.reshape(planar, (2, 2, 45)))
     applied = _mul(x, v)
     np.testing.assert_array_equal(applied[0, 0], x[0, 0] * v[0, 0] + x[0, 1] * v[1, 0])
     np.testing.assert_array_equal(applied[1, 0], x[1, 0] * v[0, 0] + x[1, 1] * v[1, 0])
+
+
+def test_sweep_products_take_contiguous_operands(monkeypatch):
+    """Every pairwise product and state application of a sweep, in every mode
+    and direction, multiplies flat stacks whose entry planes are contiguous."""
+    from diracspec import cauchy
+
+    seen = []
+    mul = cauchy._mul
+
+    def record(x, y, out=None):
+        seen.append(all(v.ndim == 3 and v[i, j].flags.c_contiguous
+                        for v in (x, y) for i in range(2) for j in range(v.shape[1])))
+        return mul(x, y, out=out)
+
+    monkeypatch.setattr(cauchy, "_mul", record)
+    g, pot = _sin_pot(1537)
+    y0 = np.array([0.3, -0.9])
+    for K, cplx, direction in itertools.product((1, 7, 257), (False, True), (1, -1)):
+        lam = np.linspace(-6.0, 9.0, K) + (0.7j if cplx else 0.0)
+        propagate(pot, g, lam, y0, direction=direction)
+        propagate(pot, g, lam, y0, direction=direction, store=True)
+        propagate(pot, g, lam, y0, direction=direction, renorm=True)
+        if not cplx:
+            propagate(pot, g, lam, y0, direction=direction, angle=True)
+    stiff = Grid(0.0, 30.0, 2048)  # rescales fire
+    propagate(PotentialMatrix(None, lambda x: x, stiff), stiff, np.array([0.5, 1.5]),
+              np.array([0.0, 1.0]), direction=-1, renorm=True, angle=True)
+    assert len(seen) > 1000 and all(seen)
 
 
 @pytest.mark.parametrize("big", [1e3, 1e6, 1e20])
@@ -447,6 +496,48 @@ def test_renorm_backward_sweep_stays_finite():
     assert 0.0 < np.max(np.abs(u)) <= 1e100
 
 
+def test_renorm_skips_rescales_while_the_growth_bound_holds(monkeypatch):
+    """Where the bound on a block's growth stays below 1e100/e no rescale is
+    tried, and the renormalised sweep is the plain one bit for bit.  Past it,
+    each tree level rescales only once its own bound allows overflow, bit for
+    bit as rescaling every level does."""
+    from diracspec import cauchy
+
+    calls = []
+    rescale = cauchy._rescale
+    monkeypatch.setattr(cauchy, "_rescale", lambda x: calls.append(1) or rescale(x))
+    g, pot = _sin_pot(1537)
+    y0 = np.array([0.3, -0.9])
+    for K, cplx, direction in itertools.product((1, 7, 257), (False, True), (1, -1)):
+        lam = np.linspace(-6.0, 9.0, K) + (0.7j if cplx else 0.0)
+        np.testing.assert_array_equal(propagate(pot, g, lam, y0, direction=direction, renorm=True),
+                                      propagate(pot, g, lam, y0, direction=direction))
+    half = Grid(0.0, 12.0, 1024)
+    model = PotentialMatrix(None, lambda x: x, half)
+    for lam in (np.array([0.5j]), np.array([5.0j]), np.linspace(-3.0, 3.0, 17)):
+        y0 = _decaying(model, half, lam)
+        np.testing.assert_array_equal(propagate(model, half, lam, y0, direction=-1, renorm=True),
+                                      propagate(model, half, lam, y0, direction=-1))
+        if not np.iscomplexobj(lam):
+            ren = propagate(model, half, lam, y0, direction=-1, renorm=True, angle=True)
+            plain = propagate(model, half, lam, y0, direction=-1, angle=True)
+            for a, b in zip(ren, plain):
+                np.testing.assert_array_equal(a, b)
+    assert not calls
+    stiff = Grid(0.0, 30.0, 2048)
+    q_x = PotentialMatrix(None, lambda x: x, stiff)
+    for lam in (np.array([0.5]), np.array([12.0j]), np.linspace(-3.0, 3.0, 7)):
+        y0 = _decaying(q_x, stiff, lam)
+        gated = propagate(q_x, stiff, lam, y0, direction=-1, renorm=True)
+        gated_calls = len(calls)
+        with monkeypatch.context() as mp:
+            mp.setattr(cauchy, "_LOG_SAFE", -np.inf)
+            every = propagate(q_x, stiff, lam, y0, direction=-1, renorm=True)
+        np.testing.assert_array_equal(gated, every)
+        assert 0 < gated_calls < len(calls) - gated_calls
+        calls.clear()
+
+
 def test_renorm_working_set_is_bounded():
     import tracemalloc
 
@@ -461,6 +552,18 @@ def test_renorm_working_set_is_bounded():
     finally:
         tracemalloc.stop()
     assert peak < 4 * 2**20
+
+
+def test_empty_batch_in_every_mode():
+    """K = 0 sweeps return empty arrays of the usual shapes in every mode."""
+    g = Grid(0.0, 12.0, 300)
+    pot = PotentialMatrix(None, lambda x: x, g)
+    lam, y0 = np.array([]), np.array([0.0, 1.0])
+    assert propagate(pot, g, lam, y0).shape == (2, 0)
+    assert propagate(pot, g, lam, y0, direction=-1, store=True).shape == (2, 0, 301)
+    assert propagate(pot, g, lam, y0, direction=-1, renorm=True).shape == (2, 0)
+    end, theta = propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
+    assert end.shape == (2, 0) and theta.shape == (0,)
 
 
 def test_removed_options_rejected():
@@ -478,12 +581,14 @@ def test_removed_options_rejected():
         propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]), store=True, renorm=True)
 
 
-@pytest.mark.parametrize("m", [256, 1000, 1024, 4096])
+@pytest.mark.parametrize("m", [256, 300, 1000, 1024, 1025, 1537, 4096])
 def test_lifted_angle_matches_unwrapped_stored_sweep(m):
-    """Theta of y = r(sin Theta, -cos Theta) at the far end against np.unwrap of every node."""
+    """Theta of y = r(sin Theta, -cos Theta) at the far end against np.unwrap of
+    every node; grids ending in short blocks are swept at several batch sizes."""
     g = Grid(0.0, math.pi, m)
-    lam = np.linspace(-m / 8, m / 8, 33)
-    for s in (0.0, 3.0, 6.0):
+    for K, s in itertools.product((33,) + ((1, 2, 7, 257) if m in (300, 1000, 1025, 1537) else ()),
+                                  (0.0, 3.0, 6.0)):
+        lam = np.linspace(-m / 8, m / 8, K)
         pot = PotentialMatrix(lambda x: 0.5 * s * np.cos(2 * x), lambda x: s * np.sin(x) + s, g)
         for alpha in (-1.2, 0.3, 1.5):
             for direction in (1, -1):
@@ -579,12 +684,63 @@ def test_turn_data_kept_with_the_step_table():
     assert _turn_data(pot, Grid(0.0, math.pi, 128)) is not data
 
 
+def _lift_rounds_scan(d):
+    """Largest r with every window of 2^r steps bounded by pi/2 in all, by cumulative
+    sums of the step bounds d (reference); windows longer than the grid are the grid."""
+    from diracspec.core import DiracError
+
+    top = np.max(d)
+    if top > 0.5 * np.pi:
+        raise DiracError("one step turns rays by more than pi/2")
+    cum = np.concatenate([[0.0], np.cumsum(d)])
+    with np.errstate(divide="ignore", over="ignore"):
+        r = int(min(np.log2(0.5 * np.pi / top), d.size.bit_length()))
+    while 2**r < d.size:
+        w = min(2 ** (r + 1), d.size)
+        if np.max(cum[w:] - cum[:-w]) > 0.5 * np.pi:
+            break
+        r += 1
+    return r
+
+
+@pytest.mark.parametrize("m", [64, 300, 1024, 1537])
+def test_lift_rounds_match_window_scan(m):
+    """The cached round limits give the rounds a scan of every window finds,
+    up to the first round whose window is the whole grid (later ones change
+    nothing), and refuse the same |lambda| at which one step turns past pi/2."""
+    from diracspec.cauchy import _lift_rounds, _turn_data
+    from diracspec.core import DiracError
+
+    g = Grid(0.0, math.pi, m)
+    pots = [_sin_pot(m)[1], PotentialMatrix(None, lambda x: 4.0 * x, g)]
+    pots += [PotentialMatrix(lambda x, s=s: 0.5 * s * np.cos(2 * x), lambda x, s=s: s * np.sin(x) + s, g)
+             for s in (0.0, 6.0)]
+    whole = (m - 1).bit_length()
+    for pot in pots:
+        _, d_p, d_q, lam_max = _turn_data(pot, g)
+        for lam in np.concatenate([[0.0], np.geomspace(1e-3, 4.0 * m, 400)]):
+            try:
+                want = min(_lift_rounds_scan(d_p + lam * d_q), whole)
+            except DiracError:
+                with pytest.raises(DiracError):
+                    _lift_rounds(lam_max, lam)
+                continue
+            assert _lift_rounds(lam_max, lam) == want, (lam, pot)
+
+
 def test_step_tables_die_with_the_potential():
     import gc
     import weakref
 
-    g, pot = _sin_pot(64)
-    propagate(pot, g, np.array([1.0]), np.array([0.0, -1.0]))
+    g, pot = _sin_pot(300)
+    y0 = np.array([0.0, -1.0])
+    for K in (1, 7, 257):
+        lam = np.linspace(-5.0, 5.0, K)
+        propagate(pot, g, lam, y0)
+        propagate(pot, g, lam, y0, direction=-1, store=True)
+        propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
+    # the step table, one bit-reversed sweep table per block length, the turn data
+    assert {g, (g, 256), (g, 64)} <= set(pot.__dict__["_step_tables"]) and pot.__dict__["_turn_tables"]
     ref = weakref.ref(pot)
     del pot
     gc.collect()
