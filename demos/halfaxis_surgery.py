@@ -14,11 +14,11 @@ import numpy as np
 
 from diracspec import (
     Grid,
+    ModelSpectrum,
     SurgeryPlan,
     evf_halfaxis_derivative,
     halfaxis_eigenvalues,
     linear_potential,
-    model_spectrum,
     surgery,
     weyl_m0,
 )
@@ -26,7 +26,7 @@ from diracspec import (
 
 def main() -> None:
     grid = Grid(0.0, 12.0, 4096)
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
 
     print("== model spectrum (closed form) ==")
     print("  lambda_n:", {n: round(base.lams[n], 6) for n in range(-2, 3)})

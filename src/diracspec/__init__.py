@@ -80,7 +80,6 @@ from .halfaxis import (
     halfaxis_two_spectra_norming,
     hermite_phi,
     linear_potential,
-    model_spectrum,
     one_spectrum_norming_halfaxis,
     plan_steps,
     suggest_x_max,

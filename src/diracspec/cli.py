@@ -79,10 +79,10 @@ def _echo_config(args: argparse.Namespace, out: str) -> None:
     write_json({k: v for k, v in vars(args).items() if k != "func"}, out + ".config.json")
 
 
-def _load_potential(args, b: float = math.pi) -> PotentialMatrix:
-    if getattr(args, "input", None):
+def _load_potential(args) -> PotentialMatrix:
+    if args.input:
         return read_potential_csv(args.input)
-    return PotentialMatrix.zero(Grid(0.0, b, args.grid))
+    return PotentialMatrix.zero(Grid(0.0, math.pi, args.grid))
 
 
 def _write_spectral(data: SpectralData, args) -> None:
@@ -162,7 +162,7 @@ def _cmd_reconstruct(args) -> int:
 
 def _cmd_surgery(args) -> int:
     plan = SurgeryPlan.load(args.plan)
-    base = ModelSpectrum.make(args.flavor, args.window)
+    base = ModelSpectrum.make("half_bc0", args.window)
     grid = Grid(0.0, args.xmax, args.grid)
     result = surgery(base, plan, grid)
     _write_potential(result.potential, args)
@@ -306,10 +306,9 @@ def _cmd_check(args) -> int:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sp, out_required=True):
-    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
-    sp.add_argument("--tol", type=float, default=1e-10)
-    sp.add_argument("--out", required=out_required)
+def _add_common(sp):
+    """The output options of a command that writes spectral data or a potential."""
+    sp.add_argument("--out", required=True)
     sp.add_argument("--format", choices=("json", "csv"), default="json")
 
 
@@ -324,6 +323,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--nmin", type=int, default=-10)
     sp.add_argument("--nmax", type=int, default=10)
+    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
+    sp.add_argument("--tol", type=float, default=1e-10)
     _add_common(sp)
     sp.set_defaults(func=_cmd_spectrum)
 
@@ -340,36 +341,42 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--input", help="potential CSV (default: zero potential)")
     sp.add_argument("--alpha", type=float, default=0.0)
     sp.add_argument("--shift", action="append", required=True, metavar="m=t")
+    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
+    sp.add_argument("--tol", type=float, default=1e-10)
     _add_common(sp)
     sp.set_defaults(func=_cmd_isospectral, format="csv")
 
     sp = sub.add_parser("reconstruct", help="potential recovery from spectral data")
     sp.add_argument("--spec", required=True, help="spectral JSON with norming constants")
     sp.add_argument("--trunc", type=int, default=200)
+    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
     _add_common(sp)
     sp.set_defaults(func=_cmd_reconstruct, format="csv")
 
     sp = sub.add_parser("surgery", help="finite spectral modification of the model operator")
     sp.add_argument("--plan", required=True, help="surgery plan JSON")
-    sp.add_argument("--flavor", default="half_bc0", choices=("half_bc0", "half_bc_pi2"))
     sp.add_argument("--window", type=int, default=8)
     sp.add_argument("--xmax", type=float, default=12.0)
+    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
     _add_common(sp)
     sp.set_defaults(func=_cmd_surgery, format="csv")
 
-    sp = sub.add_parser("evf", help="eigenvalue function samples")
+    sp = sub.add_parser("evf", help="eigenvalue function samples, written as CSV")
     sp.add_argument("--input", help="potential CSV (default: zero potential)")
     sp.add_argument("--beta", type=float, default=0.0)
     sp.add_argument("--gamma", type=float, action="append", required=True)
-    _add_common(sp)
+    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
+    sp.add_argument("--tol", type=float, default=1e-10)
+    sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_evf)
 
-    sp = sub.add_parser("weyl", help="half-axis Weyl function value")
+    sp = sub.add_parser("weyl", help="half-axis Weyl function value, written as JSON")
     sp.add_argument("--input", help="half-axis potential CSV (default: linear model)")
     sp.add_argument("--nu", type=float, default=0.0)
     sp.add_argument("--mu", type=float, required=True)
     sp.add_argument("--xmax", type=float, default=12.0)
-    _add_common(sp)
+    sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
+    sp.add_argument("--out", required=True)
     sp.set_defaults(func=_cmd_weyl)
 
     sp = sub.add_parser("check", help="run the invariant suite")

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
@@ -53,11 +53,7 @@ class InterlacingError(DiracError):
 
 
 class PoleError(DiracError):
-    """Evaluation too close to a pole."""
-
-    def __init__(self, lam, nearest):
-        self.nearest = nearest
-        super().__init__(f"lambda={lam} is within tolerance of pole {nearest}")
+    """A function was evaluated within tolerance of one of its poles."""
 
 
 class SingularSystemError(DiracError):
@@ -213,15 +209,12 @@ class Trajectory2:
 class BoundaryAngles:
     """Boundary angles reduced modulo pi into (-pi/2, pi/2].
 
-    The reduction counts are retained: the raw angle equals the reduced
-    one minus pi times the count, which is what the eigenvalue-function
-    index arithmetic consumes.
+    Only the reduced angles are kept; a caller that needs the count of pi
+    taken off (evf's index shift) gets it from reduce.
     """
 
     alpha: float
     beta: float
-    alpha_shift: int = field(default=0)
-    beta_shift: int = field(default=0)
 
     @staticmethod
     def reduce(angle: float) -> tuple[float, int]:
@@ -235,9 +228,9 @@ class BoundaryAngles:
 
     @staticmethod
     def make(alpha: float, beta: float) -> "BoundaryAngles":
-        a, ka = BoundaryAngles.reduce(alpha)
-        b, kb = BoundaryAngles.reduce(beta)
-        return BoundaryAngles(a, b, ka, kb)
+        a, _ = BoundaryAngles.reduce(alpha)
+        b, _ = BoundaryAngles.reduce(beta)
+        return BoundaryAngles(a, b)
 
 
 def cumulative_c(pot: PotentialMatrix, x: float) -> float:

@@ -85,6 +85,12 @@ class SpectralData:
     def lams(self) -> np.ndarray:
         return np.array([d.lam for d in self.items.values()])
 
+    def require_window(self, N: int, name: str) -> None:
+        """Raise ContractError naming the first n in [-N, N] without an item."""
+        missing = next((n for n in range(-N, N + 1) if n not in self.items), None)
+        if missing is not None:
+            raise ContractError(f"{name} window does not cover [-N, N]: no item at n = {missing}")
+
     def to_dict(self) -> dict:
         items = []
         for n in sorted(self.items):

@@ -86,9 +86,7 @@ class GLSeriesKernel:
         if self.trunc <= 0:
             raise ContractError("truncation must be positive")
         for spec, name in ((self.target, "target"), (self.reference, "reference")):
-            ns = spec.ns()
-            if not ns or ns[0] > -self.trunc or ns[-1] < self.trunc:
-                raise ContractError(f"{name} window does not cover [-N, N]")
+            spec.require_window(self.trunc, name)
             for n in range(-self.trunc, self.trunc + 1):
                 if spec.items[n].a is None or spec.items[n].a <= 0:
                     raise ContractError(f"{name} a_{n} missing or nonpositive")

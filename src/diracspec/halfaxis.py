@@ -201,10 +201,6 @@ class SurgeryPlan:
         return SurgeryPlan.from_dict(read_json(path))
 
 
-def model_spectrum(flavor: str, n_window: int) -> ModelSpectrum:
-    return ModelSpectrum.make(flavor, n_window)
-
-
 @dataclass
 class SurgeryResult:
     potential: PotentialMatrix

@@ -84,7 +84,6 @@ class IsoResult:
 
     omega_t: PotentialMatrix
     eigenfunctions: dict[int, Trajectory2] = field(default_factory=dict)
-    ell: dict[int, float] = field(default_factory=dict)
 
     def __post_init__(self):
         for n, h in self.eigenfunctions.items():
@@ -122,8 +121,7 @@ def _package(pot, dp, dq, hs, Y, shifts) -> IsoResult:
     omega_t = PotentialMatrix.from_samples(p_new, q_new, grid)
     hs = {n: y * np.exp(0.5 * shifts[n]) if n in shifts else y for n, y in zip(hs, Y)}
     eig = {n: Trajectory2(grid, h[0], h[1]) for n, h in hs.items()}
-    ell = {n: _ell_of(h, n) for n, h in hs.items()}
-    return IsoResult(omega_t, eig, ell)
+    return IsoResult(omega_t, eig)
 
 
 def _recurrent(pot, alpha, indices, shifts, order, tol) -> IsoResult:

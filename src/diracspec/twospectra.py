@@ -25,14 +25,13 @@ import numpy as np
 from .core import (
     BoundaryAngles,
     ContractError,
-    DiracError,
     InconsistentDataError,
     InterlacingError,
     PoleError,
     PotentialMatrix,
 )
 from .cauchy import propagate, initial_state
-from .eigen import SpectralData, SpectralDatum, find_eigenvalues
+from .eigen import SpectralData, SpectralDatum
 
 DEFAULT_TRUNC = 200
 
@@ -54,10 +53,8 @@ class TwoSpectraInput:
         if abs(self.spec_a.angles.beta - self.spec_e.angles.beta) > 1e-12:
             raise InconsistentDataError("spectra taken with different beta")
         N = self.trunc
-        for spec, name in ((self.spec_a, "alpha"), (self.spec_e, "eps")):
-            ns = spec.ns()
-            if not ns or ns[0] > -N or ns[-1] < N:
-                raise ContractError(f"{name}-spectrum window does not cover [-N, N]")
+        self.spec_a.require_window(N, "alpha-spectrum")
+        self.spec_e.require_window(N, "eps-spectrum")
         # lam is decreasing in the angle: for al < ep the eps-eigenvalues
         # interlace from below
         lo, hi = (self.spec_e, self.spec_a) if al < ep else (self.spec_a, self.spec_e)
@@ -107,25 +104,18 @@ def norming_from_two_spectra(inp: TwoSpectraInput, n: int) -> float:
     return float(a)
 
 
-@dataclass(frozen=True)
-class WeylSample:
-    """One evaluation of the Weyl-type function m(lambda)."""
-
-    lam: complex
-    m_value: complex
-
-
 def weyl_m(
     pot: PotentialMatrix,
     alpha: float,
     eps: float,
     beta: float,
     lam: complex,
-) -> WeylSample:
+) -> complex:
     """m(lambda) = (u1(0)cos a + u2(0)sin a)/(u1(0)cos e + u2(0)sin e).
 
     u is the terminal solution with u(pi) = (sin beta, -cos beta); zeros of
-    m sit at the alpha-spectrum, poles at the eps-spectrum.
+    m sit at the alpha-spectrum, poles at the eps-spectrum.  A vanishing
+    denominator, lambda at an eps-eigenvalue, raises PoleError.
     """
     grid = pot.domain
     u0 = propagate(
@@ -135,17 +125,8 @@ def weyl_m(
     num = u0[0] * np.cos(alpha) + u0[1] * np.sin(alpha)
     den = u0[0] * np.cos(eps) + u0[1] * np.sin(eps)
     if abs(den) < 1e-12 * (abs(num) + abs(u0[0]) + abs(u0[1])):
-        # locate the offending eigenvalue of the eps problem
-        nearest = None
-        if abs(complex(lam).imag) < 1.0:
-            guess = int(np.round(complex(lam).real - (beta - eps) / np.pi))
-            try:
-                data = find_eigenvalues(pot, eps, beta, guess, guess)
-                nearest = data.items[guess].lam
-            except DiracError:
-                nearest = None
-        raise PoleError(lam, nearest)
-    return WeylSample(lam=complex(lam), m_value=complex(num / den))
+        raise PoleError(f"lambda = {lam} is within tolerance of a pole of m")
+    return complex(num / den)
 
 
 def _reflected(spec: SpectralData, eps: float) -> SpectralData:

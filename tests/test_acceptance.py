@@ -19,6 +19,7 @@ from diracspec.eigen import (
 )
 from diracspec.glreconstruct import reconstruct
 from diracspec.halfaxis import (
+    ModelSpectrum,
     SurgeryPlan,
     evf_halfaxis,
     evf_halfaxis_derivative,
@@ -27,7 +28,6 @@ from diracspec.halfaxis import (
     halfaxis_eigenvalues,
     halfaxis_two_spectra_norming,
     linear_potential,
-    model_spectrum,
     surgery,
     weyl_m0,
 )
@@ -195,7 +195,7 @@ def test_criterion_09_model_exactness():
         min(abs(r - 2.0) for r in roots),
         min(abs(r - 2.0 * math.sqrt(2.0)) for r in roots),
     )
-    base = model_spectrum("half_bc0", 2)
+    base = ModelSpectrum.make("half_bc0", 2)
     g = Grid(0.0, 12.0, 4096)
     w = g.trapezoid_weights()
     err_a = 0.0
@@ -206,7 +206,7 @@ def test_criterion_09_model_exactness():
 
 
 def test_criterion_10_surgery():
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     grid = Grid(0.0, 12.0, 4096)
     removed = surgery(base, SurgeryPlan(removals=frozenset({0})), grid)
     roots = halfaxis_eigenvalues(removed.potential, 0.0, -3.2, 3.2, x_max=12.0)
@@ -245,8 +245,8 @@ def test_criterion_11_weyl_asymptotics():
 
 
 def test_criterion_12_halfaxis_two_spectra():
-    la = model_spectrum("half_bc0", 420).lams
-    lb = model_spectrum("half_bc_pi2", 420).lams
+    la = ModelSpectrum.make("half_bc0", 420).lams
+    lb = ModelSpectrum.make("half_bc_pi2", 420).lams
     rels = []
     for n, target in ((0, SQRT_PI / 2.0), (1, 2.0 * SQRT_PI)):
         a = halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, n, N=400)

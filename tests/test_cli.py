@@ -1,10 +1,14 @@
+import argparse
+import csv
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from diracspec.cli import CliParseError, main, parse_spectral_json
+from diracspec.cli import CliParseError, build_parser, main, parse_spectral_json
 from diracspec.core import Grid, read_potential_csv, write_potential_csv
 from diracspec.core import PotentialMatrix
 from diracspec.isospectral import omega_l1_distance, zero_family
@@ -185,3 +189,79 @@ def test_parser_survives_a_usage_error(tmp_path, capsys):
     cfg = json.loads((tmp_path / "spec.json.config.json").read_text())
     assert (cfg["cmd"], cfg["grid"], cfg["nmin"], cfg["nmax"]) == ("spectrum", 256, -1, 1)
     assert [rec["n"] for rec in json.loads(out.read_text())["items"]] == [-1, 0, 1]
+
+
+def test_two_spectra_window_with_a_gap_exits_3(tmp_path, capsys):
+    """Items -3, -1, 0, 1, 3 span [-3, 3] but miss n = -2: a contract failure, as in reconstruct."""
+    paths = []
+    for name, alpha, ns in (("a.json", 0.0, (-3, -1, 0, 1, 3)), ("e.json", 0.5, range(-3, 4))):
+        items = [{"n": n, "lambda": n - alpha / math.pi} for n in ns]
+        paths.append(tmp_path / name)
+        paths[-1].write_text(json.dumps({"alpha": alpha, "beta": 0.0, "items": items}))
+    rc = _run(["two-spectra", "--spec-a", paths[0], "--spec-e", paths[1],
+               "--trunc", 3, "--out", tmp_path / "o.json"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "ContractError" in err and "n = -2" in err and "Traceback" not in err
+
+
+# every option of every subcommand, each read by its command
+OPTIONS = {
+    "spectrum": {"--input", "--alpha", "--beta", "--nmin", "--nmax", "--grid", "--tol", "--out",
+                 "--format"},
+    "two-spectra": {"--spec-a", "--spec-e", "--trunc", "--nmin", "--nmax", "--out", "--format"},
+    "isospectral": {"--input", "--alpha", "--shift", "--grid", "--tol", "--out", "--format"},
+    "reconstruct": {"--spec", "--trunc", "--grid", "--out", "--format"},
+    "surgery": {"--plan", "--window", "--xmax", "--grid", "--out", "--format"},
+    "evf": {"--input", "--beta", "--gamma", "--grid", "--tol", "--out"},
+    "weyl": {"--input", "--nu", "--mu", "--xmax", "--grid", "--out"},
+    "check": set(),
+}
+
+
+def test_option_surface():
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    got = {
+        cmd: {s for a in sp._actions for s in a.option_strings} - {"-h", "--help"}
+        for cmd, sp in sub.choices.items()
+    }
+    assert got == OPTIONS
+
+
+@pytest.mark.parametrize("argv", [
+    ["two-spectra", "--spec-a", "a.json", "--spec-e", "e.json", "--out", "o.json", "--grid", "512"],
+    ["two-spectra", "--spec-a", "a.json", "--spec-e", "e.json", "--out", "o.json", "--tol", "1e-9"],
+    ["reconstruct", "--spec", "s.json", "--out", "o.csv", "--tol", "1e-9"],
+    ["surgery", "--plan", "p.json", "--out", "o.csv", "--tol", "1e-9"],
+    ["surgery", "--plan", "p.json", "--out", "o.csv", "--flavor", "half_bc0"],
+    ["evf", "--gamma", "0.5", "--out", "o.csv", "--format", "csv"],
+    ["weyl", "--mu", "50", "--out", "o.json", "--tol", "1e-9"],
+    ["weyl", "--mu", "50", "--out", "o.json", "--format", "json"],
+], ids=lambda argv: f"{argv[0]} {argv[-2]}")
+def test_removed_options_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+
+
+def test_evf_writes_csv_and_weyl_writes_json(tmp_path):
+    out = tmp_path / "evf.json"  # the suffix does not choose the format
+    assert _run(["evf", "--grid", 256, "--gamma", -0.5, "--gamma", 0.5, "--out", out]) == 0
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [float(r["gamma"]) for r in rows] == [-0.5, 0.5]
+    assert all(set(r) == {"gamma", "lambda", "alpha", "m"} for r in rows)
+    out = tmp_path / "m.csv"
+    assert _run(["weyl", "--mu", 50.0, "--grid", 1024, "--out", out]) == 0
+    assert set(json.loads(out.read_text())["m0"]) == {"re", "im"}
+
+
+def test_readme_examples_parse():
+    """Every diracspec line of README's command-line block parses; none runs."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```", 2)[1]
+    lines = [shlex.split(line) for line in block.splitlines() if line.startswith("diracspec ")]
+    for argv in lines:
+        assert build_parser().parse_args(argv[1:]).cmd == argv[1]
+    assert {argv[1] for argv in lines} == set(OPTIONS)

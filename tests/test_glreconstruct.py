@@ -505,6 +505,14 @@ def test_reconstruct_round_trip_sin(sin_gl_data):
     assert np.quantile(np.abs(pot.p[inner]), 0.9) < 5e-2
 
 
+def test_window_with_a_gap_names_the_missing_index():
+    """Items -3, -1, 0, 1, 3 span [-3, 3] but miss n = -2: a ContractError, not a KeyError."""
+    full = _lattice_data(0.0, 0.0, 3)
+    data = SpectralData(full.angles, {n: full.items[n] for n in (-3, -1, 0, 1, 3)})
+    with pytest.raises(ContractError, match="target window .* n = -2$"):
+        GLSeriesKernel.make(data, 3)
+
+
 def test_reconstruct_rejects_missing_norming():
     data = _lattice_data(0.0, 0.0, 10)
     data.items[3] = SpectralDatum(3, 3.0, a=None)

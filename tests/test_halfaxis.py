@@ -25,7 +25,6 @@ from diracspec.halfaxis import (
     halfaxis_two_spectra_norming,
     hermite_phi,
     linear_potential,
-    model_spectrum,
     one_spectrum_norming_halfaxis,
     plan_steps,
     surgery,
@@ -65,7 +64,7 @@ def test_hermite_table_and_eigenfunctions_bit_for_bit():
         assert _bitwise_equal(hermite_phi(k, xs), ref[k])
     # half_bc0 index n: the whole-axis vector of index 2n over -phi_{2|n|}(0)
     ns = list(range(-150, 151))
-    got = model_spectrum("half_bc0", 150).eigenfunctions(ns, xs)
+    got = ModelSpectrum.make("half_bc0", 150).eigenfunctions(ns, xs)
     assert got.shape == (len(ns), 2, xs.size)
     for n, v in zip(ns, got):
         k = 2 * abs(n)
@@ -75,10 +74,10 @@ def test_hermite_table_and_eigenfunctions_bit_for_bit():
 
 
 def test_eigenfunctions_start_at_the_boundary_state():
-    got = model_spectrum("half_bc0", 40).eigenfunctions(range(-40, 41), np.array([0.0, 1.0]))
+    got = ModelSpectrum.make("half_bc0", 40).eigenfunctions(range(-40, 41), np.array([0.0, 1.0]))
     assert np.all(got[:, :, 0] == initial_state(0.0))
     with pytest.raises(ContractError):  # the y2(0) = 0 model keeps eigenvalues only
-        model_spectrum("half_bc_pi2", 2).eigenfunctions([0], np.array([0.0]))
+        ModelSpectrum.make("half_bc_pi2", 2).eigenfunctions([0], np.array([0.0]))
 
 
 def test_surgery_runs_one_hermite_recurrence(monkeypatch):
@@ -91,7 +90,7 @@ def test_surgery_runs_one_hermite_recurrence(monkeypatch):
         return _hermite_table(kmax, x)
 
     monkeypatch.setattr(halfaxis, "_hermite_table", counted)
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     for plan in (SurgeryPlan(), SurgeryPlan(removals=frozenset({0})),
                  SurgeryPlan(removals=frozenset({2}), additions=((1.1, 1.0),),
                              rescalings=((-1, 1.7 * half_bc0_norming(1)),))):
@@ -107,7 +106,7 @@ def test_model_norming_closed_forms():
 
 
 def test_model_norming_by_quadrature():
-    base = model_spectrum("half_bc0", 3)
+    base = ModelSpectrum.make("half_bc0", 3)
     xs = GRID12.nodes
     w = GRID12.trapezoid_weights()
     for n, u in zip((0, 1, 2), base.eigenfunctions([0, 1, 2], xs)):
@@ -125,14 +124,14 @@ def test_model_spectrum_by_shooting():
 
 
 def test_surgery_empty_plan_identity():
-    base = model_spectrum("half_bc0", 6)
+    base = ModelSpectrum.make("half_bc0", 6)
     res = surgery(base, SurgeryPlan(), GRID12)
     assert np.max(np.abs(res.potential.q - GRID12.nodes)) < 1e-12
     assert np.max(np.abs(res.potential.p)) < 1e-12
 
 
 def test_surgery_remove_ground_state():
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     res = surgery(base, SurgeryPlan(removals=frozenset({0})), GRID12)
     xs = GRID12.nodes
     # closed form: q(x) = x - e^{-x^2} / (a_0 - int_0^x e^{-s^2} ds),
@@ -150,7 +149,7 @@ def test_surgery_remove_ground_state():
 
 
 def test_surgery_rescale_halves_norming():
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     b = half_bc0_norming(0) / 2.0
     res = surgery(base, SurgeryPlan(rescalings=((0, b),)), GRID12)
     roots = halfaxis_eigenvalues(res.potential, 0.0, -0.5, 3.0, x_max=12.0)
@@ -162,14 +161,14 @@ def test_surgery_rescale_halves_norming():
 
 
 def test_surgery_addition():
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     res = surgery(base, SurgeryPlan(additions=((1.1, 1.0),)), GRID12)
     roots = halfaxis_eigenvalues(res.potential, 0.0, 0.5, 1.7, x_max=12.0)
     assert min(abs(r - 1.1) for r in roots) < 1e-4
 
 
 def test_surgery_matches_recurrent_route():
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     xs = GRID12.nodes
     inner = xs <= 5.5
     # single-entry plans agree to rounding; multi-entry plans accumulate
@@ -219,7 +218,7 @@ SURGERY_PLANS = {
 
 def _surgery_gram(plan, grid):
     """Gram of retained then added eigenfunctions, and their expected norming constants."""
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     res = surgery(base, plan, grid)
     target = dict(plan.rescalings)
     fns = [(t, target.get(n, base.norming[n])) for n, t in sorted(res.retained.items())]
@@ -258,7 +257,7 @@ def test_surgery_plan_round_trip(tmp_path):
 
 
 def test_plan_validation():
-    base = model_spectrum("half_bc0", 4)
+    base = ModelSpectrum.make("half_bc0", 4)
     with pytest.raises(ContractError):
         SurgeryPlan(additions=((1.1, 1.0), (1.1, 2.0)))
     with pytest.raises(ContractError):
@@ -298,8 +297,8 @@ def test_weyl_m0_past_turning_point():
 
 
 def test_two_spectra_norming_model():
-    la = model_spectrum("half_bc0", 420).lams
-    lb = model_spectrum("half_bc_pi2", 420).lams
+    la = ModelSpectrum.make("half_bc0", 420).lams
+    lb = ModelSpectrum.make("half_bc_pi2", 420).lams
     a0 = halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, 0, N=400)
     a1 = halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, 1, N=400)
     assert a0 == pytest.approx(SQRT_PI / 2.0, rel=0.05)
@@ -327,8 +326,8 @@ def _loop_halfaxis_norming(la, lb, alpha, beta, n, N, mu_max=1e3):
 
 
 def test_two_spectra_products_match_loops():
-    la = model_spectrum("half_bc0", 420).lams
-    lb = {k: v + 0.01 * math.sin(k) for k, v in model_spectrum("half_bc_pi2", 420).lams.items()}
+    la = ModelSpectrum.make("half_bc0", 420).lams
+    lb = {k: v + 0.01 * math.sin(k) for k, v in ModelSpectrum.make("half_bc_pi2", 420).lams.items()}
     for n in (-3, 0, 1, 5):
         want = _loop_halfaxis_norming(la, lb, 0.0, 1.4, n, 400)
         # 800 factors reordered: rounding differs by far less than 1e-12
@@ -336,14 +335,14 @@ def test_two_spectra_products_match_loops():
 
 
 def test_two_spectra_rejects_non_alternating():
-    la = model_spectrum("half_bc0", 12).lams
+    la = ModelSpectrum.make("half_bc0", 12).lams
     lb = {k: v + 5.0 for k, v in la.items()}
     with pytest.raises(InterlacingError):
         halfaxis_two_spectra_norming(la, lb, 0.0, 1.0, 0, N=10)
 
 
 def test_one_spectrum_needs_interior_angle():
-    la = model_spectrum("half_bc0", 12).lams
+    la = ModelSpectrum.make("half_bc0", 12).lams
     with pytest.raises(ContractError):
         one_spectrum_norming_halfaxis(la, 0.0, 0, N=10)
 
@@ -368,7 +367,7 @@ def test_evf_derivative_and_monotonicity():
 def test_evf_branch_below_zero_ground_state():
     """With the ground state removed, lambda_0(0) = -2 < 0: lambda(gamma) stays on
     that branch on both sides of gamma = 0 and its slope is -1/a = -1/(2 sqrt pi)."""
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     pot = surgery(base, SurgeryPlan(removals=frozenset({0})), Grid(0.0, 14.0, 4096)).potential
     vals = [evf_halfaxis(pot, g) for g in (-1e-3, 0.0, 1e-3)]
     assert all(abs(v + 2.0) < 1e-3 for v in vals)
@@ -419,7 +418,7 @@ def test_angle_roots_split_wide_cells():
                    reason="the kernel system turns singular near x_max when three states are removed")
 def test_surgery_removing_three_states():
     """Halfaxis benchmark seed 28's plan1: remove lambda_-1, lambda_0 and lambda_1."""
-    base = model_spectrum("half_bc0", 8)
+    base = ModelSpectrum.make("half_bc0", 8)
     plan = SurgeryPlan(removals=frozenset({-1, 0, 1}))
     grid = Grid(0.0, 12.0, 2048)
     pot = surgery(base, plan, grid).potential

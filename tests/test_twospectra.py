@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracspec.core import Grid, InconsistentDataError, PoleError, PotentialMatrix
+from diracspec.core import ContractError, Grid, InconsistentDataError, PoleError, PotentialMatrix
 from diracspec.eigen import SpectralData, SpectralDatum, find_eigenvalues
 from diracspec.twospectra import (
     TwoSpectraInput,
@@ -33,6 +33,16 @@ def test_lattice_norming_is_pi():
 def test_coincident_angles_rejected():
     with pytest.raises(InconsistentDataError):
         TwoSpectraInput(_lattice(0.3, 0.0, 60), _lattice(0.3, 0.0, 60), trunc=50)
+
+
+@pytest.mark.parametrize("gapped", ["alpha", "eps"])
+def test_window_with_a_gap_names_the_missing_index(gapped):
+    """Items -3, -1, 0, 1, 3 span [-3, 3] but miss n = -2: a ContractError, not a KeyError."""
+    specs = {"alpha": _lattice(0.0, 0.0, 3), "eps": _lattice(math.pi / 4, 0.0, 3)}
+    full = specs[gapped]
+    specs[gapped] = SpectralData(full.angles, {n: full.items[n] for n in (-3, -1, 0, 1, 3)})
+    with pytest.raises(ContractError, match=f"{gapped}-spectrum window .* n = -2$"):
+        TwoSpectraInput(specs["alpha"], specs["eps"], trunc=3)
 
 
 def test_sin_matches_direct_norming(sin_data_220, sin_spec_eps220):
@@ -77,8 +87,8 @@ def test_weyl_zero_at_eigenvalue():
     g = Grid(0.0, math.pi, 1024)
     zero = PotentialMatrix.zero(g)
     # lambda_n(alpha) = n - alpha/pi are zeros of m
-    s = weyl_m(zero, 0.3, 0.9, 0.0, 2.0 - 0.3 / math.pi)
-    assert abs(s.m_value) < 1e-8
+    m = weyl_m(zero, 0.3, 0.9, 0.0, 2.0 - 0.3 / math.pi)
+    assert abs(m) < 1e-8
 
 
 def test_weyl_pole_detection():
@@ -90,16 +100,14 @@ def test_weyl_pole_detection():
 
 def test_weyl_asymptotic_limit(sin_pot):
     al, ep = 0.2, 1.0
-    s = weyl_m(sin_pot, al, ep, 0.0, 40j)
-    assert abs(s.m_value - np.exp(1j * (ep - al))) < 0.05
+    m = weyl_m(sin_pot, al, ep, 0.0, 40j)
+    assert abs(m - np.exp(1j * (ep - al))) < 0.05
 
 
 def test_weyl_halfplane_mapping(sin_pot):
     for mu in (3.0, 10.0, 25.0):
-        s = weyl_m(sin_pot, 0.0, 0.7, 0.0, 1j * mu)
-        assert s.m_value.imag > 0
-        s = weyl_m(sin_pot, 0.0, 0.7, 0.0, -1j * mu)
-        assert s.m_value.imag < 0
+        assert weyl_m(sin_pot, 0.0, 0.7, 0.0, 1j * mu).imag > 0
+        assert weyl_m(sin_pot, 0.0, 0.7, 0.0, -1j * mu).imag < 0
 
 
 def test_weyl_derivative_at_zero(sin_data_220, sin_pot):
@@ -108,8 +116,8 @@ def test_weyl_derivative_at_zero(sin_data_220, sin_pot):
     lam_n = sin_data_220.items[n].lam
     d = 1e-5
     dm = (
-        weyl_m(sin_pot, al, ep, 0.0, lam_n + d).m_value
-        - weyl_m(sin_pot, al, ep, 0.0, lam_n - d).m_value
+        weyl_m(sin_pot, al, ep, 0.0, lam_n + d)
+        - weyl_m(sin_pot, al, ep, 0.0, lam_n - d)
     ) / (2 * d)
     expect = sin_data_220.items[n].a / math.sin(ep - al)
     assert complex(dm).real == pytest.approx(expect, rel=1e-4)
