@@ -340,7 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("isospectral", help="norming-constant shift flows")
     sp.add_argument("--input", help="potential CSV (default: zero potential)")
     sp.add_argument("--alpha", type=float, default=0.0)
-    sp.add_argument("--shift", action="append", required=True, metavar="m=t")
+    sp.add_argument("--shift", action="append", required=True, metavar="m=t",
+                    help="a_m -> a_m e^(-t); write a negative m as --shift=-2=0.3")
     sp.add_argument("--grid", type=int, default=DEFAULT_M, help="grid intervals m")
     sp.add_argument("--tol", type=float, default=1e-10)
     _add_common(sp)

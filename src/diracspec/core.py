@@ -271,8 +271,7 @@ def pauli_algebra_selftest() -> bool:
 
 def write_json(obj, path) -> None:
     with open(path, "w", newline="\n") as fh:
-        json.dump(obj, fh, indent=1, sort_keys=True, default=str)
-        fh.write("\n")
+        fh.write(json.dumps(obj, indent=1, sort_keys=True, default=str) + "\n")
 
 
 def read_json(path):
@@ -285,9 +284,33 @@ def read_json(path):
 
 def write_potential_csv(pot: PotentialMatrix, path: str) -> None:
     x = pot.domain.nodes
-    rows = zip(x.tolist(), pot.sample_p(x).tolist(), pot.sample_q(x).tolist())
+    flat = np.stack([x, pot.sample_p(x), pot.sample_q(x)], axis=1).ravel().tolist()
     with open(path, "w", newline="\n") as fh:
-        fh.write("x,p,q\n" + "".join(f"{a:.17g},{b:.17g},{c:.17g}\n" for a, b, c in rows))
+        fh.write("x,p,q\n" + "%.17g,%.17g,%.17g\n" * len(x) % tuple(flat))
+
+
+def _plain_rows(text: str):
+    """The rows of a CSV text whose every line is three comma-separated fields.
+
+    csv.reader reads such a text as the same fields; any other text (a
+    header other than x,p,q, a CR anywhere, blank lines, other field counts,
+    fields that are not numbers, quoted ones among them) gives None.
+    """
+    head, _, body = text.partition("\n")
+    if head != "x,p,q" or "\r" in body:
+        return None
+    body = body.removesuffix("\n")
+    # one split with each line end as a field of its own: the lines all hold
+    # three fields exactly when those ends sit at every fourth place
+    fields = body.replace("\n", ",\n,").split(",")
+    n = body.count("\n") + 1
+    if len(fields) != 4 * n - 1 or fields[3::4].count("\n") != n - 1:
+        return None
+    del fields[3::4]
+    try:
+        return np.array(fields, dtype=float).reshape(n, 3)
+    except ValueError:
+        return None
 
 
 def _bad_csv_row(path: str) -> str:
@@ -305,7 +328,7 @@ def _bad_csv_row(path: str) -> str:
             return f"{path}: line {reader.line_num}: expected three numbers x,p,q, got {text!r}"
 
 
-def read_potential_csv(path: str) -> PotentialMatrix:
+def _csv_rows(path: str) -> np.ndarray:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -317,6 +340,14 @@ def read_potential_csv(path: str) -> PotentialMatrix:
             rows = None
     if rows is None or (rows.ndim == 2 and rows.shape[1] < 3):
         raise DiracError(_bad_csv_row(path))
+    return rows
+
+
+def read_potential_csv(path: str) -> PotentialMatrix:
+    with open(path, newline="") as fh:
+        rows = _plain_rows(fh.read())
+    if rows is None:
+        rows = _csv_rows(path)
     if len(rows) < 2:
         raise DiracError("potential CSV needs at least two rows")
     x = rows[:, 0]

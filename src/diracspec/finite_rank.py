@@ -41,9 +41,14 @@ def _labels(values, n: int) -> np.ndarray:
 def _prefix(psi, eig, a, v, v_eig, grid: Grid):
     """int_0^x psi_k . v_n as (limit (K, N), variable part (K, N, nx))."""
     f = np.einsum("kax,nax->knx", psi, v)
-    var = grid.cumulative(f)
     both = np.isfinite(eig)[:, None] & np.isfinite(v_eig)[None, :]
-    if np.any(both):
+    if not np.any(both):
+        var = grid.cumulative(f)
+    else:
+        # each pair's prefix is formed once: forward, or as limit minus tail
+        var = np.empty_like(f)
+        if not np.all(both):
+            var[~both] = grid.cumulative(f[~both])
         fb = f[both]
         tail = grid.cumulative(fb[:, ::-1])[:, ::-1]
         # one-term asymptotic for the piece beyond the grid, ~ f/(2x)
@@ -59,12 +64,15 @@ def _check(A: np.ndarray, xs: np.ndarray) -> None:
     positive tail of the removed state, rescalings tend to a/b, and other
     columns to 1 + gamma ||psi||^2.  The determinant legitimately decays
     with those tails, so degeneracy is judged relative to the diagonal
-    product, not on an absolute scale.
+    product, not on an absolute scale.  A 1 x 1 system is its own
+    determinant, so the diagonal check is all of it.
     """
     diag = np.einsum("xkk->xk", A)
     if np.any(diag <= 0.0):
         j = int(np.argmax(np.any(diag <= 0.0, axis=1)))
         raise ContractError(f"nonpositive diagonal entry at x = {xs[j]:.6g}")
+    if A.shape[-1] == 1:
+        return
     sign, logdet = np.linalg.slogdet(A)
     bad = (sign == 0) | (logdet - np.sum(np.log(diag), axis=1) < math.log(1e-12))
     if np.any(bad):
@@ -94,7 +102,11 @@ def solve(psi, gamma, grid: Grid, eig=None, a=None):
     # scale each row by the exact power of two that brings its diagonal into
     # [0.5, 1), so partial pivoting does not pick a row for its growth alone
     _, e = np.frexp(np.einsum("xkk->xk", A))
-    G = np.linalg.solve(np.ldexp(A, -e[..., None]), np.ldexp(rhs, -e[..., None])).transpose(1, 2, 0)
+    A, rhs = np.ldexp(A, -e[..., None]), np.ldexp(rhs, -e[..., None])
+    # a scalar system is LAPACK's own 1 x 1 arithmetic with two right-hand
+    # sides, b (1/a), without its fixed cost per node
+    G = rhs * (1.0 / A) if K == 1 else np.linalg.solve(A, rhs)
+    G = G.transpose(1, 2, 0)
     m = np.einsum("kax,kbx->abx", G, psi)
     return G, -(m[0, 1] + m[1, 0]), m[0, 0] - m[1, 1]
 

@@ -115,7 +115,7 @@ class GLKernel:
     G (nx, 2, R) holds each node's coefficients, UT (nx, R, 2) the columns
     U(x_j)^T, target and reference pairs in ordered_indices order (target
     lambda_n in column 2k for the k-th index), and c the diagonal of C
-    (solve_gl).  residual, the largest collocation residual over
+    (solve_gl).  residual, the largest absolute collocation residual over
     t_i <= x_j, and condition, the 2-norm condition number of the last
     node's R x R system A = I + C V, are computed together on first read by
     one replay of solve_gl's blocks, which carries A by forward products
@@ -138,6 +138,12 @@ class GLKernel:
 
     @property
     def residual(self) -> float:
+        """max |(A_j G_j^T + C U(x_j)^T) U(t_i)^T| over t_i <= x_j.
+
+        The residual is absolute, not scaled by max|K| or by C, so it grows
+        with the size of the data and is compared only across solves of
+        data of like scale.
+        """
         return self._diagnostics[0]
 
     @property

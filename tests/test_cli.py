@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from diracspec.cli import CliParseError, build_parser, main, parse_spectral_json
-from diracspec.core import Grid, read_potential_csv, write_potential_csv
+from diracspec.core import DiracError, Grid, read_potential_csv, write_json, write_potential_csv
 from diracspec.core import PotentialMatrix
 from diracspec.isospectral import omega_l1_distance, zero_family
 
@@ -87,6 +87,65 @@ def test_potential_csv_bytes_match_row_loop(tmp_path):
     again = tmp_path / "again.csv"
     write_potential_csv(back, again)
     assert again.read_bytes() == first
+
+
+def _plain_potential_csv(tmp_path):
+    g = Grid(0.0, 2.0, 2)
+    pot = PotentialMatrix.from_samples(np.array([1.0, 3.0, 5.0]), np.array([2.0, 4.0, 6.0]), g)
+    path = tmp_path / "plain.csv"
+    write_potential_csv(pot, path)
+    return pot
+
+
+@pytest.mark.parametrize("text", [
+    "x,p,q\r\n0,1,2\r\n1,3,4\r\n2,5,6\r\n",
+    "x,p,q\n0,1,2\n\n1,3,4\n2,5,6\n\n",
+    "x,p,q\n0,1,2,9\n1,3,4\n2,5,6,abc\n",
+    'x,p,q\n"0","1","2"\n1,"3",4\n2,5,6',
+], ids=["crlf", "blank_lines", "fourth_column", "quoted_numbers"])
+def test_potential_csv_reader_variants(tmp_path, text):
+    # csv.reader's reading: CR LF and blank lines pass, a fourth field is ignored,
+    # quotes are stripped
+    want = _plain_potential_csv(tmp_path)
+    path = tmp_path / "variant.csv"
+    path.write_bytes(text.encode())
+    got = read_potential_csv(path)
+    assert got.domain == want.domain
+    assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x,p,q\n", "potential CSV needs at least two rows"),
+    ('x,p,q\n0,"1,5",2\n1,3,4\n', "line 2: expected three numbers x,p,q, got '0,1,5,2'"),
+    ("x,p,q\r\n0,1\r\n1,3\r\n", "line 2: expected three numbers x,p,q, got '0,1'"),
+    ("x,p,q\n0,1,2\n1\r,3,4\n2,5,6\n", "line 3: expected three numbers x,p,q, got '1'"),
+], ids=["header_only", "quoted_comma", "crlf_two_fields", "lone_cr"])
+def test_potential_csv_reader_rejections(tmp_path, text, message):
+    path = tmp_path / "bad.csv"
+    path.write_bytes(text.encode())
+    with pytest.raises(DiracError) as err:
+        read_potential_csv(path)
+    assert str(err.value).endswith(message)
+
+
+def test_write_json_bytes_match_json_dump(tmp_path):
+    obj = {"b": [1.0, -0.0, 5e-324, math.pi], "a": {"z": None, "y": "text"}, "c": Path("p.csv")}
+    path = tmp_path / "o.json"
+    write_json(obj, path)
+    with open(tmp_path / "ref.json", "w", newline="\n") as fh:
+        json.dump(obj, fh, indent=1, sort_keys=True, default=str)
+        fh.write("\n")
+    assert path.read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+def test_negative_shift_index_is_written_with_equals(tmp_path):
+    out = tmp_path / "omega.csv"
+    with pytest.raises(SystemExit) as bare:
+        build_parser().parse_args(["isospectral", "--shift", "-2=0.3", "--out", str(out)])
+    assert bare.value.code == 2
+    assert _run(["isospectral", "--shift=-2=0.3", "--grid", 256, "--out", out]) == 0
+    got = read_potential_csv(out)
+    assert omega_l1_distance(got, zero_family(-2, 0.3, Grid(0.0, math.pi, 256))) < 1e-4
 
 
 def test_isospectral_matches_zero_family(tmp_path):
