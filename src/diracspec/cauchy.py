@@ -24,14 +24,34 @@ Both coefficient matrices of a step are affine in lambda, so the lambda-free
 parts are precomputed once per (potential, grid), as one (3, m, 2) table of
 [Q P] rows, and every sweep is vectorized over a whole batch of lambda
 values: a block's exponents are one BLAS product of its rows with the (2, K)
-rows [lambda; 1], negated (exactly) for a backward sweep.  The grid is
-walked in blocks of a power of two lambda-steps, near 16384 in all and under
-2 MB of live temporaries at any batch size, the rest in blocks of its binary
-digits.  A block's rows are kept in bit-reversed step order (Cooley and
-Tukey), so its step exponentials form one flat (2, 2, steps*K) stack whose
-first half holds the even steps and second half the odd ones; the step
-product being associative, they combine without a per-step loop, each
-product taking two contiguous halves (real 2x2 products: one einsum pass):
+rows [lambda; 1], negated (exactly) for a backward sweep, and _expm_tracefree
+takes them to step exponentials in about 25 elementwise passes.
+
+Since M = P + lambda*Q, z = a^2 + bc is quadratic in lambda, so sh and ch,
+each cut after n terms of its series in z, are polynomials of degree 2n - 2
+in lambda, and every entry of exp(M) is one of degree 2n - 1 (the Taylor
+route of Moler and Van Loan, SIAM Review 45, 2003).  _exp_table keeps these
+coefficients per (grid, n), and a batch of K >= 4n lambdas whose |z| bound
+(||P||_F + |lambda| ||Q||_F)^2 / 2, from each block's peak norms, is at most
+_ZMAX takes each block's exponentials as one BLAS product of its table rows
+with [lambda^(2n-1), ..., lambda, 1].  n is the fewest terms whose first
+dropped term of ch, z^n/(2n)! (larger than sh's), is below 1e-17 at that
+bound.  A backward sweep takes exp(-M) = ch I - sh M, the adjugate of
+exp(M), from the same rows.
+_expm_tracefree stays for every other sweep: below 4n lambdas the product
+costs more than the passes, past |z| = 1 it scales and squares each
+exponent by its own power of two (a polynomial of fixed degree in lambda
+cannot), and a non-finite lambda leaves no finite bound.  A sweep of K < 8
+lambdas neither forms the bound nor builds a table.
+
+The grid is walked in blocks of a power of two lambda-steps, near 16384 in
+all and under 2 MB of live temporaries at any batch size, the rest in blocks
+of its binary digits.  A block's rows are kept in bit-reversed step order
+(Cooley and Tukey), so its step exponentials form one flat (2, 2, steps*K)
+stack whose first half holds the even steps and second half the odd ones;
+the step product being associative, they combine without a per-step loop,
+each product taking two contiguous halves (real 2x2 products: one einsum
+pass):
 
 * tree rounds multiply the second half by the first, which gives the pair
   products, again bit-reversed, up to the block product;
@@ -75,13 +95,16 @@ _SQRT3 = np.sqrt(3.0)
 # |z| above which _expm_tracefree scales and squares; below it ch = sqrt(1 + z sh^2)
 # is cosh of a root of z of modulus at most 1, safely away from 0
 _ZMAX = 1.0
-# Taylor coefficients 1/(2k+1)! of sh in z, one per degree k
+# Taylor coefficients 1/(2k+1)! of sh and 1/(2k)! of ch in z, one per degree k
 _SH = np.array([1.0 / math.factorial(2 * k + 1) for k in range(20)])
+_CH = np.array([1.0 / math.factorial(2 * k) for k in range(20)])
 # lambda-steps per block of a sweep: under 2 MB of live temporaries, about one L2 cache
 _BLOCK = 16384
 # renormalisation threshold; a product of two factors below it cannot overflow
 _HUGE = 1e100
 _LOG_SAFE = math.log(_HUGE) - 1.0  # log(_HUGE/e): a norm bound below it leaves e for rounding
+# exp(-M) = ch I - sh M is the adjugate of exp(M): its entry planes in exp(M)'s, column-broadcast
+_ADJ = np.array([3, 1, 2, 0])[:, None]
 
 
 @dataclass(frozen=True)
@@ -214,6 +237,44 @@ def _expm_tracefree(a, b, c):
     np.subtract(ch, sa, out=ch)
     np.multiply(sh, b, out=sh)
     return E
+
+
+def _exp_table(pot: PotentialMatrix, grid: Grid, n: int) -> np.ndarray:
+    """Lambda-coefficients of exp(P_j + lambda Q_j) per step, shape (4, m, 2n): 00, 01, 10, 11.
+
+    z = a^2 + bc is z0 + z1 lambda + z2 lambda^2 per step, so sh and ch, each
+    cut after n terms of its series in z, are polynomials of degree 2n - 2 in
+    lambda, formed by Horner in z on coefficient rows; the entries ch +- sh*a,
+    sh*b and sh*c reach degree 2n - 1.  Each row holds the degrees highest
+    first, so that a product with [lambda^(2n-1), ..., lambda, 1] adds the
+    smallest terms first.  Kept beside _step_coeffs, per (grid, n).
+    """
+    tables = pot.__dict__.setdefault("_step_tables", {})
+    key = (grid, "exp", n)
+    if key not in tables:
+        (a0, b0, c0), (a1, b1, c1) = _step_coeffs(pot, grid)
+        z0, z1, z2 = a0 * a0 + b0 * c0, 2.0 * a0 * a1 + b0 * c1 + b1 * c0, a1 * a1 + b1 * c1
+        # rows [ch; sh] by ascending degree in lambda, one (m,) row per degree
+        S = np.zeros((2, 2 * n - 1, grid.m))
+        S[:, 0] = [[_CH[n - 1]], [_SH[n - 1]]]
+        for d in range(0, 2 * n - 2, 2):  # times z, plus the next coefficient; degree d -> d + 2
+            T = S[:, : d + 1].copy()
+            S[:, : d + 1] *= z0
+            S[:, 1 : d + 2] += T * z1
+            S[:, 2 : d + 3] += T * z2
+            k = n - 2 - d // 2
+            S[:, 0] += [[_CH[k]], [_SH[k]]]
+        ch, sh = S
+        table = np.empty((4, grid.m, 2 * n))
+        E = table[..., ::-1].transpose(0, 2, 1)  # the same entries by ascending degree, (4, 2n, m)
+        for e, (u0, u1) in zip(E, [(a0, a1), (b0, b1), (c0, c1), (-a0, -a1)]):
+            np.multiply(sh, u0, out=e[:-1])
+            e[-1] = 0.0
+            e[1:] += sh * u1
+        E[0, :-1] += ch
+        E[3, :-1] += ch
+        tables[key] = table
+    return tables[key]
 
 
 def _mul(x, y, out=None):
@@ -350,7 +411,20 @@ def propagate(
     QP, blocks = _sweep_table(pot, grid, B)
     # the tree level whose states the scan gives: every step stored, else the block product
     keep = 0 if store else m
-    lam_top = float(np.max(np.abs(lam), initial=0.0)) if renorm or angle else 0.0
+    lam_top = float(np.max(np.abs(lam), initial=0.0)) if renorm or angle or K >= 8 else 0.0
+    V = None  # the powers of lambda when the batch takes the polynomial table
+    if K >= 8:  # n >= 2, so no smaller batch takes the table
+        # |z| <= ||M||_F^2 / 2 <= (||P||_F + |lambda| ||Q||_F)^2 / 2 at every step; inf or nan fails
+        f = max(p + lam_top * q for _, _, _, (q, p) in blocks)
+        zb = 0.5 * f * f
+        if zb <= _ZMAX:
+            n_ex = next(k for k in range(2, len(_CH)) if zb**k * _CH[k] < 1e-17)
+            if K >= 4 * n_ex:
+                T = _exp_table(pot, grid, n_ex)
+                # [lambda^(2n-1), ..., lambda, 1], matching the table's columns; complex as real pairs
+                V = np.ones((2 * n_ex, K), dtype=L.dtype)
+                V[-2::-1] = np.cumprod(np.broadcast_to(lam, (2 * n_ex - 1, K)), axis=0)
+                V = V.view(float)
     if angle:
         mu, _, _, lam_max = _turn_data(pot, grid)
         keep = _lift_rounds(lam_max, lam_top)
@@ -363,8 +437,17 @@ def propagate(
     for lo, hi, (g_q, g_p), (peak_q, peak_p) in blocks[::step]:
         n = hi - lo
         # backward, bitrev(n-1-i) = n-1-bitrev(i): the block's rows reversed (16-byte copies)
-        rows = QP[:, lo:hi] if step > 0 else QP[:, lo:hi].view(complex)[:, ::-1].copy().view(float)
-        E = _expm_tracefree(*(rows @ Lr).view(L.dtype)).reshape(2, 2, n, K)
+        if V is None:
+            rows = QP[:, lo:hi] if step > 0 else QP[:, lo:hi].view(complex)[:, ::-1].copy().view(float)
+            E = _expm_tracefree(*(rows @ Lr).view(L.dtype)).reshape(2, 2, n, K)
+        else:
+            if step > 0:
+                rows = np.take(T, lo + _bitrev(n), axis=1)
+            else:
+                # exp(-M) = adj exp(M): planes 11, 01, 10, 00, the off-diagonals negated (exact)
+                rows = T[_ADJ, lo + _bitrev(n)[::-1]]
+                rows[1:3] *= -1.0
+            E = (rows.reshape(-1, 2 * n_ex) @ V).view(L.dtype).reshape(2, 2, n, K)
         # ||exp(M)||_2 <= exp(||M||_F) and ||M||_F <= ||P||_F + |lambda| ||Q||_F bound the
         # block's products, times 1 + sqrt(2) max|y| its states: below _HUGE/e (e for
         # rounding) no rescale fires, else each tree level's own bound decides

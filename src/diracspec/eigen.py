@@ -18,6 +18,7 @@ is one lifted endpoint sweep over the batch of unconverged roots.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,17 +105,39 @@ class SpectralData:
         return {"alpha": self.angles.alpha, "beta": self.angles.beta, "items": items}
 
     @staticmethod
-    def from_dict(obj: dict) -> "SpectralData":
-        angles = BoundaryAngles.make(float(obj["alpha"]), float(obj["beta"]))
-        items = {}
-        for rec in obj["items"]:
-            n = int(rec["n"])
+    def from_dict(obj) -> "SpectralData":
+        """The inverse of to_dict, checking the form in its one pass over the items.
+
+        The form is an object with numbers alpha and beta and a list of items,
+        each an object with an integer n, strictly increasing along the list,
+        a number lambda and numbers or nulls a, b and c (numbers are finite,
+        and true and false are not numbers).  Anything else raises ValueError
+        saying what is wrong; data of this form that breaks a contract raises
+        SpectralDatum's ContractError or SpectralData's InterlacingError.
+        """
+        if not isinstance(obj, dict) or "items" not in obj:
+            raise ValueError("missing field 'items'")
+        recs = obj["items"]
+        if not isinstance(recs, list):
+            raise ValueError(f"field 'items' must be a list, got {recs!r}")
+        angles = BoundaryAngles.make(*(_number(obj.get(k), k) for k in ("alpha", "beta")))
+        items, last = {}, -float("inf")
+        for i, rec in enumerate(recs):
+            if not isinstance(rec, dict):
+                raise ValueError(f"item {i} must be an object, got {rec!r}")
+            n = rec.get("n")
+            if type(n) is not int:
+                n = _index(n, i)
+            if n <= last:
+                raise ValueError("field 'items' must be strictly sorted by 'n'")
+            last = n
+            a, b, c = rec.get("a"), rec.get("b"), rec.get("c")
             items[n] = SpectralDatum(
                 n,
-                float(rec["lambda"]),
-                a=rec.get("a"),
-                b=rec.get("b"),
-                c=rec.get("c"),
+                _number(rec.get("lambda"), "lambda", n),
+                None if a is None else _number(a, "a", n),
+                None if b is None else _number(b, "b", n),
+                None if c is None else _number(c, "c", n),
             )
         return SpectralData(angles, items)
 
@@ -124,6 +147,32 @@ class SpectralData:
     @staticmethod
     def load(path) -> "SpectralData":
         return SpectralData.from_dict(read_json(path))
+
+
+_FLOAT_MAX = sys.float_info.max
+
+
+def _number(value, name: str, n: int | None = None) -> float:
+    """A finite JSON number as a float, else ValueError naming the field (and item n).
+
+    Python compares an int with a float exactly, so an integer past the float
+    range fails the bound like inf and nan do, without an OverflowError.
+    """
+    if type(value) is float and -_FLOAT_MAX <= value <= _FLOAT_MAX:  # the common case, first
+        return value
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _FLOAT_MAX:
+        at = "" if n is None else f"item n = {n}: "
+        raise ValueError(f"{at}field '{name}' must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _index(value, i: int) -> int:
+    """The item index n of item i as an int: an integer or an integral float, not a bool."""
+    if value is None:
+        raise ValueError("item without field 'n'")
+    if isinstance(value, bool) or not (isinstance(value, int) or isinstance(value, float) and value.is_integer()):
+        raise ValueError(f"item {i}: field 'n' must be an integer, got {value!r}")
+    return int(value)
 
 
 def char_function(pot: PotentialMatrix, alpha, beta, lam):

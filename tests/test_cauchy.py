@@ -322,26 +322,27 @@ def _sweep_order(sizes):
 def test_block_exponents_are_the_affine_step_table(monkeypatch, cplx):
     """The BLAS product of the [Q P] table with [lambda; 1] is P + lambda*Q
     within one ulp of the larger term, for real and complex lambda.  At
-    K = 257 the 300 steps go in blocks of 64, then 32, 8 and 4, each
-    bit-reversed."""
+    K = 17, below the 4n of the polynomial table, the 300 steps go in blocks
+    of 256, then 32, 8 and 4, each bit-reversed."""
     from diracspec.cauchy import _step_coeffs
 
     g, pot = _sin_pot(300)
-    lam = np.linspace(-40.0, 55.0, 257) + (0.7j if cplx else 0.0)
+    lam = np.linspace(-40.0, 55.0, 17) + (0.7j if cplx else 0.0)
     got = np.concatenate(_block_exponents(monkeypatch, pot, g, lam, np.array([0.3, -0.9])), axis=1)
     P, Q = _step_coeffs(pot, g)[..., None]
-    order = _sweep_order([64, 64, 64, 64, 32, 8, 4])
+    order = _sweep_order([256, 32, 8, 4])
     ref = (P + Q * lam)[:, order]
-    assert got.dtype == ref.dtype and got.shape == ref.shape == (3, 300, 257)
+    assert got.dtype == ref.dtype and got.shape == ref.shape == (3, 300, 17)
     assert np.all(np.abs(got - ref) <= np.spacing(np.maximum(np.abs(Q * lam), np.abs(P)))[:, order])
 
 
 @pytest.mark.parametrize("cplx", [False, True])
 def test_backward_exponents_negate_the_forward_ones(monkeypatch, cplx):
     """A backward sweep builds exp(-M) from exactly -M: negating [lambda; 1] is
-    exact, and each backward block is the forward one in reverse order."""
+    exact, and each backward block is the forward one in reverse order.
+    K = 17 is below the 4n of the polynomial table."""
     g, pot = _sin_pot(300)
-    lam = np.linspace(-4.0, 11.0, 257) + (0.7j if cplx else 0.0)
+    lam = np.linspace(-4.0, 11.0, 17) + (0.7j if cplx else 0.0)
     y0 = np.array([0.3, -0.9])
     fwd = _block_exponents(monkeypatch, pot, g, lam, y0)
     bwd = _block_exponents(monkeypatch, pot, g, lam, y0, direction=-1)
@@ -366,6 +367,150 @@ def test_non_finite_exponents_flow_through():
 def _sin_pot(m):
     g = Grid(0.0, math.pi, m)
     return g, PotentialMatrix(lambda x: 0.3 * np.cos(x), lambda x: 2.0 * np.sin(3.0 * x), g)
+
+
+def _exp_degrees(pot):
+    """The degrees n of the polynomial step-exponential tables kept for a potential."""
+    return {k[2] for k in pot.__dict__.get("_step_tables", {}) if isinstance(k, tuple) and k[1] == "exp"}
+
+
+def _block_sizes(m, K):
+    """Power-of-two block sizes of a sweep of K lambdas over m steps (oracle of the rule)."""
+    B = min(1 << round(math.log2(max(8, 16384 // K))), 1 << (m.bit_length() - 1))
+    return [B] * (m // B) + [1 << i for i in range(B.bit_length() - 1, -1, -1) if m % B >> i & 1]
+
+
+def _sweep_exponentials(monkeypatch, pot, g, lam, direction):
+    """Every step exponential a sweep multiplies, (2, 2, m, K) in sweep order."""
+    from diracspec import cauchy
+
+    seen = []
+    states = cauchy._block_states
+    with monkeypatch.context() as mp:
+        mp.setattr(cauchy, "_block_states", lambda E, *a: seen.append(E.copy()) or states(E, *a))
+        propagate(pot, g, lam, np.array([0.3, -0.9]), direction=direction)
+    return np.concatenate(seen, axis=2)
+
+
+@pytest.mark.parametrize("m", [300, 1025, 1537])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_table_exponentials_match_the_series_route(monkeypatch, m, direction, cplx):
+    """Batches of K >= 4n take each block's exponentials from the polynomial
+    table as one BLAS product, backward ones as the adjugate; they agree with
+    _expm_tracefree of the same exponents within 4 ulp of each matrix's
+    largest entry, and smaller batches keep _expm_tracefree."""
+    from diracspec.cauchy import _expm_tracefree, _step_coeffs
+
+    g, pot = _sin_pot(m)
+    P, Q = _step_coeffs(pot, g)[..., None]
+    eps = np.finfo(float).eps
+    for K in (17, 257):
+        lam = np.linspace(-40.0, 55.0, K) + (0.7j if cplx else 0.0)
+        got = _sweep_exponentials(monkeypatch, pot, g, lam, direction)
+        degrees = _exp_degrees(pot)
+        assert bool(degrees) == (K == 257) and all(K >= 4 * n for n in degrees), (K, degrees)
+        order = _sweep_order(_block_sizes(m, K))[::direction]
+        ref = np.stack(_expm_tracefree(*(direction * (P + Q * lam))[:, order])).reshape(2, 2, m, K)
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        scale = np.max(np.abs(ref), axis=(0, 1))
+        assert np.all(np.abs(got - ref) <= 4.0 * eps * scale), K
+        if K == 257:
+            det = got[0, 0] * got[1, 1] - got[0, 1] * got[1, 0]
+            size = np.abs(got[0, 0] * got[1, 1]) + np.abs(got[0, 1] * got[1, 0])
+            assert np.all(np.abs(det - 1.0) <= 4.0 * eps * size)
+
+
+def test_zero_potential_table_is_an_exact_rotation():
+    """With p = q = 0 every tabled step is ((C, -S), (S, C)) coefficient for
+    coefficient, C and S the cut series of cos and sin of lambda h, so the
+    sweep is the rotation by lambda (b - a) up to rounding."""
+    from diracspec.cauchy import _exp_table
+
+    g = Grid(0.0, math.pi, 1024)
+    pot = PotentialMatrix(None, None, g)
+    lam = np.linspace(-150.0, 150.0, 257)
+    y0 = np.array([0.3, -0.9])
+    end = propagate(pot, g, lam, y0)
+    (n,) = _exp_degrees(pot)
+    T = _exp_table(pot, g, n)
+    np.testing.assert_array_equal(T[0], T[3])
+    np.testing.assert_array_equal(T[1], -T[2])
+    V = lam ** np.arange(2 * n - 1, -1, -1)[:, None]
+    np.testing.assert_allclose(T[0, :1] @ V, [np.cos(lam * g.h)], rtol=0, atol=4e-16)
+    np.testing.assert_allclose(T[2, :1] @ V, [np.sin(lam * g.h)], rtol=0, atol=4e-16)
+    c, s = np.cos(lam * math.pi), np.sin(lam * math.pi)
+    np.testing.assert_allclose(end, [c * y0[0] - s * y0[1], s * y0[0] + c * y0[1]], rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, 1e200])
+def test_non_finite_lambda_in_a_table_batch(bad):
+    """A non-finite lambda, or one whose z overflows, sends its batch to
+    _expm_tracefree: its column turns non-finite, and every other column is
+    its own sweep to rounding."""
+    g, pot = _sin_pot(1025)
+    y0 = np.array([0.3, -0.9])
+    lam = np.linspace(-40.0, 55.0, 257)
+    own = propagate(pot, g, lam, y0)
+    assert _exp_degrees(pot)
+    lam[100] = bad
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = propagate(pot, g, lam, y0)
+    assert not np.any(np.isfinite(got[:, 100]))
+    rest = np.arange(257) != 100
+    assert np.max(np.abs(got[:, rest] - own[:, rest])) <= 1e-13 * np.max(np.abs(own))
+
+
+def test_table_sweep_bits_do_not_depend_on_earlier_sweeps():
+    """The table's degree comes from the call's own lambdas and its rows only
+    from the potential, so the same call gives the same bits on a fresh
+    potential and on one that earlier sweeps filled with tables of other degrees."""
+    y0 = np.array([0.3, -0.9])
+    lam = np.linspace(-20.0, 25.0, 129)
+    g, fresh = _sin_pot(1537)
+    _, used = _sin_pot(1537)
+    for K, top in ((1, 3.0), (7, 9.0), (257, 3.0), (257, 90.0), (64, 40.0)):
+        propagate(used, g, np.linspace(-top, top, K), y0)
+        propagate(used, g, np.linspace(-top, top, K) + 0.5j, y0, direction=-1, store=True)
+    assert len(_exp_degrees(used)) > 1
+    for kw in ({}, {"direction": -1}, {"store": True}, {"renorm": True}):
+        np.testing.assert_array_equal(propagate(used, g, lam, y0, **kw), propagate(fresh, g, lam, y0, **kw))
+    for a, b in zip(propagate(used, g, lam, y0, angle=True), propagate(fresh, g, lam, y0, angle=True)):
+        np.testing.assert_array_equal(a, b)
+
+
+def test_small_batches_build_no_exponential_table(monkeypatch):
+    """K < 8 never takes the table route, so a fresh potential gets none."""
+    from diracspec import cauchy
+
+    monkeypatch.setattr(cauchy, "_exp_table", lambda *a: pytest.fail("table built"))
+    g, pot = _sin_pot(1025)
+    y0 = np.array([0.3, -0.9])
+    for K in (1, 7):
+        lam = np.linspace(-5.0, 5.0, K)
+        propagate(pot, g, lam, y0)
+        propagate(pot, g, lam, y0, direction=-1, store=True)
+        propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
+    assert not _exp_degrees(pot)
+
+
+@pytest.mark.parametrize("s", [0.5, 3.0, 6.0])
+@pytest.mark.parametrize("c", [0.0, 1.0])
+def test_eigenvalues_converge_at_fourth_order(s, c):
+    """Observed order log2(|l_m - l_2m| / |l_2m - l_4m|) of every eigenvalue
+    with |n| <= 24 on m = 128, 256, 512, for p = s cos(2x)/2, q = s sin x + c s.
+    The first root batches (K = 49) take the polynomial table."""
+    from diracspec.eigen import find_eigenvalues
+
+    ladder = []
+    for m in (128, 256, 512):
+        g = Grid(0.0, math.pi, m)
+        pot = PotentialMatrix(lambda x: 0.5 * s * np.cos(2.0 * x), lambda x: s * np.sin(x) + c * s, g)
+        data = find_eigenvalues(pot, 0.0, 0.0, -24, 24, tol=1e-13)
+        assert _exp_degrees(pot), m
+        ladder.append(np.array([data.items[n].lam for n in range(-24, 25)]))
+    order = np.log2(np.abs(ladder[0] - ladder[1]) / np.abs(ladder[1] - ladder[2]))
+    assert np.all(np.abs(order - 4.0) < 0.1), order
 
 
 @pytest.mark.parametrize("K", [1, 2, 7, 257])

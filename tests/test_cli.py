@@ -2,6 +2,7 @@ import argparse
 import csv
 import json
 import math
+import re
 import shlex
 from pathlib import Path
 
@@ -199,6 +200,51 @@ def test_exit_2_on_non_numeric_lambda(tmp_path, capsys, lam):
     rc = _run(["reconstruct", "--spec", path, "--trunc", 2, "--out", tmp_path / "o.csv"])
     assert rc == 2
     assert "Traceback" not in capsys.readouterr().err
+
+
+def _lattice_spectrum(**fields):
+    """A valid spectral file's object, n = -2 .. 2, with the given top-level fields replaced."""
+    items = [{"n": n, "lambda": float(n), "a": math.pi} for n in range(-2, 3)]
+    return {"alpha": 0.0, "beta": 0.0, "items": items, **fields}
+
+
+def _with_item(i, **fields):
+    obj = _lattice_spectrum()
+    obj["items"][i].update(fields)
+    return obj
+
+
+@pytest.mark.parametrize("obj, what", [
+    (_lattice_spectrum(items=5), "field 'items' must be a list"),
+    (_lattice_spectrum(items=[1, 2]), "item 0 must be an object"),
+    (_with_item(2, n="0"), "item 2: field 'n' must be an integer"),
+    (_with_item(2, n=0.5), "item 2: field 'n' must be an integer"),
+    (_with_item(1, a=True), "item n = -1: field 'a' must be a finite number"),
+    (_with_item(3, **{"lambda": 10**400}), "item n = 1: field 'lambda' must be a finite number"),
+], ids=["items-not-a-list", "item-not-an-object", "string-n", "fractional-n", "bool-a", "huge-lambda"])
+def test_exit_2_on_malformed_items(tmp_path, capsys, obj, what):
+    """Each malformed item is a parse error naming the file, never a traceback
+    or a silently coerced value."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    with pytest.raises(CliParseError, match=f"^{re.escape(str(path))}: {what}"):
+        parse_spectral_json(str(path))
+    rc = _run(["reconstruct", "--spec", path, "--trunc", 2, "--out", tmp_path / "o.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("obj, error", [
+    (_with_item(1, a=-1.0), "[ContractError]: norming constant a_-1 = -1.0 <= 0"),
+    (_with_item(1, **{"lambda": -2.0}), "[InterlacingError]: eigenvalues not strictly increasing in n"),
+])
+def test_exit_3_on_well_formed_data_breaking_a_contract(tmp_path, capsys, obj, error):
+    path = tmp_path / "s.json"
+    path.write_text(json.dumps(obj))
+    rc = _run(["reconstruct", "--spec", path, "--trunc", 2, "--out", tmp_path / "o.csv"])
+    assert rc == 3
+    assert error in capsys.readouterr().err
 
 
 def test_exit_3_on_domain_failure(tmp_path):
