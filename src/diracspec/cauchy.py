@@ -31,18 +31,22 @@ Since M = P + lambda*Q, z = a^2 + bc is quadratic in lambda, so sh and ch,
 each cut after n terms of its series in z, are polynomials of degree 2n - 2
 in lambda, and every entry of exp(M) is one of degree 2n - 1 (the Taylor
 route of Moler and Van Loan, SIAM Review 45, 2003).  _exp_table keeps these
-coefficients per (grid, n), and a batch of K >= 4n lambdas whose |z| bound
+coefficients per (grid, n), and a batch of K >= 2n^2 lambdas whose |z| bound
 (||P||_F + |lambda| ||Q||_F)^2 / 2, from each block's peak norms, is at most
 _ZMAX takes each block's exponentials as one BLAS product of its table rows
 with [lambda^(2n-1), ..., lambda, 1].  n is the fewest terms whose first
 dropped term of ch, z^n/(2n)! (larger than sh's), is below 1e-17 at that
 bound.  A backward sweep takes exp(-M) = ch I - sh M, the adjugate of
-exp(M), from the same rows.
-_expm_tracefree stays for every other sweep: below 4n lambdas the product
-costs more than the passes, past |z| = 1 it scales and squares each
-exponent by its own power of two (a polynomial of fixed degree in lambda
-cannot), and a non-finite lambda leaves no finite bound.  A sweep of K < 8
-lambdas neither forms the bound nor builds a table.
+exp(M), from the same rows.  Building the table takes about as long as
+the product saves on 2n^2 lambdas (measured for n = 3 to 10; both scale
+with m), so from K = 2n^2 on a sweep repays its table by itself, and which
+route a call takes, like its bits, never depends on what earlier calls left
+cached.
+_expm_tracefree stays for every other sweep: below 2n^2 lambdas the table
+costs more than it saves, past |z| = 1 it scales and squares each exponent
+by its own power of two (a polynomial of fixed degree in lambda cannot), and
+a non-finite lambda leaves no finite bound.  A sweep of K < 8 lambdas
+neither forms the bound nor builds a table.
 
 The grid is walked in blocks of a power of two lambda-steps, near 16384 in
 all and under 2 MB of live temporaries at any batch size, the rest in blocks
@@ -247,10 +251,10 @@ def _exp_table(pot: PotentialMatrix, grid: Grid, n: int) -> np.ndarray:
     lambda, formed by Horner in z on coefficient rows; the entries ch +- sh*a,
     sh*b and sh*c reach degree 2n - 1.  Each row holds the degrees highest
     first, so that a product with [lambda^(2n-1), ..., lambda, 1] adds the
-    smallest terms first.  Kept beside _step_coeffs, per (grid, n).
+    smallest terms first.  Kept like _step_coeffs, per (grid, n).
     """
-    tables = pot.__dict__.setdefault("_step_tables", {})
-    key = (grid, "exp", n)
+    tables = pot.__dict__.setdefault("_exp_tables", {})
+    key = grid, n
     if key not in tables:
         (a0, b0, c0), (a1, b1, c1) = _step_coeffs(pot, grid)
         z0, z1, z2 = a0 * a0 + b0 * c0, 2.0 * a0 * a1 + b0 * c1 + b1 * c0, a1 * a1 + b1 * c1
@@ -419,11 +423,12 @@ def propagate(
         zb = 0.5 * f * f
         if zb <= _ZMAX:
             n_ex = next(k for k in range(2, len(_CH)) if zb**k * _CH[k] < 1e-17)
-            if K >= 4 * n_ex:
+            if K >= 2 * n_ex * n_ex:  # the sweep repays building the table (module docstring)
                 T = _exp_table(pot, grid, n_ex)
-                # [lambda^(2n-1), ..., lambda, 1], matching the table's columns; complex as real pairs
+                # [lambda^(2n-1), ..., lambda, 1], matching the table's columns, in L's float or
+                # complex dtype (an integer lambda's powers would wrap); complex as real pairs
                 V = np.ones((2 * n_ex, K), dtype=L.dtype)
-                V[-2::-1] = np.cumprod(np.broadcast_to(lam, (2 * n_ex - 1, K)), axis=0)
+                V[-2::-1] = np.cumprod(np.broadcast_to(lam.astype(L.dtype), (2 * n_ex - 1, K)), axis=0)
                 V = V.view(float)
     if angle:
         mu, _, _, lam_max = _turn_data(pot, grid)

@@ -322,7 +322,7 @@ def _sweep_order(sizes):
 def test_block_exponents_are_the_affine_step_table(monkeypatch, cplx):
     """The BLAS product of the [Q P] table with [lambda; 1] is P + lambda*Q
     within one ulp of the larger term, for real and complex lambda.  At
-    K = 17, below the 4n of the polynomial table, the 300 steps go in blocks
+    K = 17, below the 2n^2 of the polynomial table, the 300 steps go in blocks
     of 256, then 32, 8 and 4, each bit-reversed."""
     from diracspec.cauchy import _step_coeffs
 
@@ -340,7 +340,7 @@ def test_block_exponents_are_the_affine_step_table(monkeypatch, cplx):
 def test_backward_exponents_negate_the_forward_ones(monkeypatch, cplx):
     """A backward sweep builds exp(-M) from exactly -M: negating [lambda; 1] is
     exact, and each backward block is the forward one in reverse order.
-    K = 17 is below the 4n of the polynomial table."""
+    K = 17 is below the 2n^2 of the polynomial table."""
     g, pot = _sin_pot(300)
     lam = np.linspace(-4.0, 11.0, 17) + (0.7j if cplx else 0.0)
     y0 = np.array([0.3, -0.9])
@@ -371,7 +371,7 @@ def _sin_pot(m):
 
 def _exp_degrees(pot):
     """The degrees n of the polynomial step-exponential tables kept for a potential."""
-    return {k[2] for k in pot.__dict__.get("_step_tables", {}) if isinstance(k, tuple) and k[1] == "exp"}
+    return {n for _, n in pot.__dict__.get("_exp_tables", {})}
 
 
 def _block_sizes(m, K):
@@ -396,7 +396,7 @@ def _sweep_exponentials(monkeypatch, pot, g, lam, direction):
 @pytest.mark.parametrize("direction", [1, -1])
 @pytest.mark.parametrize("cplx", [False, True])
 def test_table_exponentials_match_the_series_route(monkeypatch, m, direction, cplx):
-    """Batches of K >= 4n take each block's exponentials from the polynomial
+    """Batches of K >= 2n^2 take each block's exponentials from the polynomial
     table as one BLAS product, backward ones as the adjugate; they agree with
     _expm_tracefree of the same exponents within 4 ulp of each matrix's
     largest entry, and smaller batches keep _expm_tracefree."""
@@ -409,7 +409,7 @@ def test_table_exponentials_match_the_series_route(monkeypatch, m, direction, cp
         lam = np.linspace(-40.0, 55.0, K) + (0.7j if cplx else 0.0)
         got = _sweep_exponentials(monkeypatch, pot, g, lam, direction)
         degrees = _exp_degrees(pot)
-        assert bool(degrees) == (K == 257) and all(K >= 4 * n for n in degrees), (K, degrees)
+        assert bool(degrees) == (K == 257) and all(K >= 2 * n * n > 17 for n in degrees), (K, degrees)
         order = _sweep_order(_block_sizes(m, K))[::direction]
         ref = np.stack(_expm_tracefree(*(direction * (P + Q * lam))[:, order])).reshape(2, 2, m, K)
         assert got.dtype == ref.dtype and got.shape == ref.shape
@@ -494,21 +494,52 @@ def test_small_batches_build_no_exponential_table(monkeypatch):
     assert not _exp_degrees(pot)
 
 
+def test_table_route_starts_at_two_n_squared(monkeypatch):
+    """A batch takes the polynomial table of degree n from K = 2n^2 lambdas on,
+    n set by the batch's largest |lambda|: one lambda fewer keeps the series
+    route and builds no table."""
+    g, pot = _sin_pot(1025)
+    y0 = np.array([0.3, -0.9])
+    propagate(pot, g, np.linspace(-30.0, 30.0, 257), y0)
+    (n,) = _exp_degrees(pot)
+    g, pot = _sin_pot(1025)
+    propagate(pot, g, np.linspace(-30.0, 30.0, 2 * n * n - 1), y0)
+    assert not _exp_degrees(pot)
+    propagate(pot, g, np.linspace(-30.0, 30.0, 2 * n * n), y0)
+    assert _exp_degrees(pot) == {n}
+
+
+@pytest.mark.parametrize("direction", [1, -1])
+def test_table_sweep_bits_do_not_depend_on_the_lambda_dtype(direction):
+    """The powers of lambda are taken in the sweep's float dtype: integer and
+    float32 lambdas give the bits of the same values as float64, where powers
+    of an int64 lambda up to 60^15 would wrap."""
+    g = Grid(0.0, math.pi, 1024)
+    pot = PotentialMatrix(lambda x: 0.3 * np.cos(x), lambda x: 0.5 * np.sin(x), g)
+    lam = np.arange(-60, 61)
+    y0 = np.array([0.3, -0.9])
+    ref = propagate(pot, g, lam.astype(float), y0, direction=direction)
+    (n,) = _exp_degrees(pot)
+    assert len(lam) >= 2 * n * n and 60.0 ** (2 * n - 1) > np.iinfo(np.int64).max
+    for dt in (np.int64, np.int32, np.float32):
+        np.testing.assert_array_equal(propagate(pot, g, lam.astype(dt), y0, direction=direction), ref)
+
+
 @pytest.mark.parametrize("s", [0.5, 3.0, 6.0])
 @pytest.mark.parametrize("c", [0.0, 1.0])
 def test_eigenvalues_converge_at_fourth_order(s, c):
     """Observed order log2(|l_m - l_2m| / |l_2m - l_4m|) of every eigenvalue
-    with |n| <= 24 on m = 128, 256, 512, for p = s cos(2x)/2, q = s sin x + c s.
-    The first root batches (K = 49) take the polynomial table."""
+    with |n| <= 64 on m = 512, 1024, 2048, for p = s cos(2x)/2, q = s sin x + c s.
+    The root batches (K = 129) take the polynomial table on every grid."""
     from diracspec.eigen import find_eigenvalues
 
     ladder = []
-    for m in (128, 256, 512):
+    for m in (512, 1024, 2048):
         g = Grid(0.0, math.pi, m)
         pot = PotentialMatrix(lambda x: 0.5 * s * np.cos(2.0 * x), lambda x: s * np.sin(x) + c * s, g)
-        data = find_eigenvalues(pot, 0.0, 0.0, -24, 24, tol=1e-13)
+        data = find_eigenvalues(pot, 0.0, 0.0, -64, 64, tol=1e-13)
         assert _exp_degrees(pot), m
-        ladder.append(np.array([data.items[n].lam for n in range(-24, 25)]))
+        ladder.append(np.array([data.items[n].lam for n in range(-64, 65)]))
     order = np.log2(np.abs(ladder[0] - ladder[1]) / np.abs(ladder[1] - ladder[2]))
     assert np.all(np.abs(order - 4.0) < 0.1), order
 
@@ -884,8 +915,10 @@ def test_step_tables_die_with_the_potential():
         propagate(pot, g, lam, y0)
         propagate(pot, g, lam, y0, direction=-1, store=True)
         propagate(pot, g, lam, y0, direction=-1, renorm=True, angle=True)
-    # the step table, one bit-reversed sweep table per block length, the turn data
+    # the step table, one bit-reversed sweep table per block length, the turn data, and the
+    # polynomial table of the K = 257 sweeps
     assert {g, (g, 256), (g, 64)} <= set(pot.__dict__["_step_tables"]) and pot.__dict__["_turn_tables"]
+    assert _exp_degrees(pot)
     ref = weakref.ref(pot)
     del pot
     gc.collect()
