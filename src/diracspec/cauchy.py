@@ -42,6 +42,9 @@ the product saves on 2n^2 lambdas (measured for n = 3 to 10; both scale
 with m), so from K = 2n^2 on a sweep repays its table by itself, and which
 route a call takes, like its bits, never depends on what earlier calls left
 cached.
+The product is issued in row chunks that OpenBLAS keeps on the calling
+thread (_serial_matmul): a threaded GEMM splits its output differently, so
+its bits would depend on the thread count.
 _expm_tracefree stays for every other sweep: below 2n^2 lambdas the table
 costs more than it saves, past |z| = 1 it scales and squares each exponent
 by its own power of two (a polynomial of fixed degree in lambda cannot), and
@@ -64,6 +67,11 @@ pass):
   them give the states before the odd ones -- about n products and n
   applications for n factors, written into halves of one buffer, which a
   stored sweep takes back to node order once into its (2, K, m+1) history;
+* a summing sweep (weights=) scans down to the same states and adds
+  sum_j w_j |y_j|^2 per lambda from the buffer, gathering the weights in its
+  bit-reversed order: the norming constants a_n = integral of |phi_n|^2 need
+  only these sums, and the history would be the largest allocation of a
+  spectrum's pass (4.2 MB at K = 257, m = 1024, plus its squares);
 * a renormalised sweep divides every pair product and every state by its
   largest entry once that exceeds 1e100 (a positive factor, so signs and
   ratios -- all a caller of a stiff half-axis sweep reads -- survive); it
@@ -109,6 +117,10 @@ _HUGE = 1e100
 _LOG_SAFE = math.log(_HUGE) - 1.0  # log(_HUGE/e): a norm bound below it leaves e for rounding
 # exp(-M) = ch I - sh M is the adjugate of exp(M): its entry planes in exp(M)'s, column-broadcast
 _ADJ = np.array([3, 1, 2, 0])[:, None]
+# OpenBLAS runs a GEMM of M*N*K <= 65536 * GEMM_MULTITHREAD_THRESHOLD (4 by default) on the
+# calling thread: a threaded product splits the output differently, and its bits then depend on
+# the thread count, besides waking threads for a few microseconds of work
+_GEMM_SERIAL = 65536 * 4
 
 
 @dataclass(frozen=True)
@@ -294,6 +306,32 @@ def _mul(x, y, out=None):
     return out
 
 
+def _serial_matmul(R, V):
+    """R @ V as GEMMs of at most _GEMM_SERIAL multiply-adds each, none of which OpenBLAS threads."""
+    k, n = V.shape
+    cols = max(1, min(n, _GEMM_SERIAL // k))
+    rows = max(1, _GEMM_SERIAL // (k * cols))
+    out = np.empty((R.shape[0], n))
+    for j in range(0, n, cols):
+        for i in range(0, R.shape[0], rows):
+            np.matmul(R[i : i + rows], V[:, j : j + cols], out=out[i : i + rows, j : j + cols])
+    return out
+
+
+def _weighted_squares(S, w):
+    """sum_j w_j |S[:, j]|^2 per column of the (2, n, K) states S, shape (K,).
+
+    Each column's terms are laid out contiguously, so numpy sums them pairwise
+    (no BLAS call, whose bits could depend on its thread count).
+    """
+    R = S.view(float) if S.dtype.kind == "c" else S
+    sq = R[0] * R[0]
+    sq += R[1] * R[1]
+    if S.dtype.kind == "c":
+        sq = sq[:, 0::2] + sq[:, 1::2]
+    return np.multiply(sq.T, w, order="C").sum(axis=1)
+
+
 def _rescale(x):
     """Divide the stacked 2x2 entries x by their largest modulus where that exceeds _HUGE."""
     big = np.abs(x).max(axis=(0, 1))
@@ -378,6 +416,7 @@ def propagate(
     store: bool = False,
     renorm: bool = False,
     angle: bool = False,
+    weights=None,
 ):
     """Propagate y' = A(x, lambda) y across the grid for a batch of lambdas.
 
@@ -385,6 +424,9 @@ def propagate(
     keyword-only.  direction=+1 runs from grid.a to grid.b, -1 the other way
     (starting from y(b) = y0).  With store=True the full node history of
     shape (2, K, m+1) is returned, otherwise the endpoint of shape (2, K).
+    weights, shape (m+1,), also returns sum_j weights_j |y(x_j)|^2 per lambda,
+    shape (K,), from the states a stored sweep would write, without the
+    history: (endpoint, sums).
     renorm (endpoint sweeps only) rescales products and state by positive
     factors whenever they grow past 1e100 (only ratios survive; used for
     stiff half-axis sweeps).  angle (real endpoint sweeps only, renormalised
@@ -393,12 +435,15 @@ def propagate(
     sweep from the principal value of y0's angle, at about the cost of the
     plain sweep (see the module docstring).
     """
-    if store and renorm:
+    weighted = weights is not None
+    if (store or weighted) and renorm:
         raise DiracError("renorm applies to endpoint sweeps only")
+    if store and weighted:
+        raise DiracError("weights sum the states instead of storing them; pass one of store and weights")
     lam = np.atleast_1d(np.asarray(lam))
     K = lam.shape[0]
     cplx = np.iscomplexobj(lam) or np.iscomplexobj(np.asarray(y0))
-    if angle and (store or cplx):
+    if angle and (store or weighted or cplx):
         raise DiracError("the angle lift needs an endpoint sweep at real lambda")
     dtype = complex if cplx else float
     y0 = np.broadcast_to(np.asarray(y0, dtype=dtype).reshape(2, -1), (2, K))
@@ -413,8 +458,8 @@ def propagate(
     # blocks of a power of two steps, nearest in log scale to _BLOCK // K
     B = min(1 << round(math.log2(max(8, _BLOCK // max(K, 1)))), 1 << (m.bit_length() - 1))
     QP, blocks = _sweep_table(pot, grid, B)
-    # the tree level whose states the scan gives: every step stored, else the block product
-    keep = 0 if store else m
+    # the tree level whose states the scan gives: every step stored or summed, else the block product
+    keep = 0 if store or weighted else m
     lam_top = float(np.max(np.abs(lam), initial=0.0)) if renorm or angle or K >= 8 else 0.0
     V = None  # the powers of lambda when the batch takes the polynomial table
     if K >= 8:  # n >= 2, so no smaller batch takes the table
@@ -438,6 +483,11 @@ def propagate(
     y = y0[:, None]
     if store:
         Y = np.empty((2, K, m + 1), dtype=dtype)
+    if weighted:
+        w = np.asarray(weights, dtype=float)
+        if w.shape != (m + 1,):
+            raise GridMismatchError(f"weights of shape {w.shape} for {m + 1} nodes")
+        sums = np.zeros(K)
 
     for lo, hi, (g_q, g_p), (peak_q, peak_p) in blocks[::step]:
         n = hi - lo
@@ -452,7 +502,7 @@ def propagate(
                 # exp(-M) = adj exp(M): planes 11, 01, 10, 00, the off-diagonals negated (exact)
                 rows = T[_ADJ, lo + _bitrev(n)[::-1]]
                 rows[1:3] *= -1.0
-            E = (rows.reshape(-1, 2 * n_ex) @ V).view(L.dtype).reshape(2, 2, n, K)
+            E = _serial_matmul(rows.reshape(-1, 2 * n_ex), V).view(L.dtype).reshape(2, 2, n, K)
         # ||exp(M)||_2 <= exp(||M||_F) and ||M||_F <= ||P||_F + |lambda| ||Q||_F bound the
         # block's products, times 1 + sqrt(2) max|y| its states: below _HUGE/e (e for
         # rounding) no rescale fires, else each tree level's own bound decides
@@ -463,6 +513,8 @@ def propagate(
         if store:
             order = np.append(_bitrev(n), n)  # X's slots in sweep order: the block's nodes
             Y[:, :, lo : hi + 1] = np.take(X, order[::step], axis=1).swapaxes(1, 2)
+        if weighted:  # the states before each step, at the block's nodes in X's order
+            sums += _weighted_squares(X[:, :n], w[lo + _bitrev(n) if step > 0 else hi - _bitrev(n)])
         if angle:
             # each segment turns every ray by rot within +-pi/2: lift exactly
             seg = np.arange(0, n, n // c)
@@ -480,6 +532,9 @@ def propagate(
     if store:
         return Y
     y = y[:, 0].copy()
+    if weighted:
+        sums += _weighted_squares(y[:, None], w[-1:] if step > 0 else w[:1])
+        return y, sums
     return (y, theta + 2.0 * np.pi * turns) if angle else y
 
 

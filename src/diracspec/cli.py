@@ -37,10 +37,10 @@ from .cauchy import solve_cauchy, wronskian
 from .eigen import (
     SpectralData,
     SpectralDatum,
+    _normed_trajectories,
     evf,
     find_eigenvalues,
     norming_constants,
-    normalized_eigenfunction,
     parseval_defect,
 )
 from .twospectra import TwoSpectraInput, norming_from_two_spectra
@@ -233,11 +233,12 @@ def _invariant_suite() -> list[tuple[str, bool]]:
     run("eigen: zero-potential norming", zero_norming)
 
     def parseval():
-        data = norming_constants(sinq, 0.0, find_eigenvalues(sinq, 0.0, 0.0, -12, 12))
-        basis = {
-            n: normalized_eigenfunction(sinq, 0.0, data.items[n].lam, data.items[n].a)
-            for n in data.ns()
-        }
+        # the 25 eigenfunctions from one stored sweep
+        data, Y = _normed_trajectories(sinq, 0.0, find_eigenvalues(sinq, 0.0, 0.0, -12, 12))
+        basis = {}
+        for i, (n, d) in enumerate(data.items.items()):
+            s = 1.0 / math.sqrt(d.a)
+            basis[n] = Trajectory2(g, s * Y[0, i], s * Y[1, i])
         probe = basis[0]
         return parseval_defect(probe, basis, 12) < 1e-6
 

@@ -96,11 +96,15 @@ class Grid:
         return w
 
     # The library's quadrature rule: every integral over the grid goes
-    # through these two methods, so changing the rule is an edit here.
+    # through these methods, so changing the rule is an edit here.
+
+    def weights(self) -> np.ndarray:
+        """Node weights of the library rule (trapezoid), shape (m+1,)."""
+        return self.trapezoid_weights()
 
     def integrate(self, values: np.ndarray) -> np.ndarray:
         """Integral over [a, b] of samples at the nodes, along the last axis."""
-        return values @ self.trapezoid_weights()
+        return values @ self.weights()
 
     def cumulative(self, values: np.ndarray) -> np.ndarray:
         """Integral from a to every node, zero at the first, along the last axis."""

@@ -273,21 +273,31 @@ def _trajectories(pot, lams, angle, direction=+1):
 
 
 def norming_constants(pot: PotentialMatrix, alpha: float, data: SpectralData) -> SpectralData:
-    """Attach a_n = integral of |phi(., lambda_n, alpha)|^2 over [0, pi]."""
-    return _normed_trajectories(pot, alpha, data)[0]
+    """Attach a_n = integral of |phi(., lambda_n, alpha)|^2 over [0, pi].
+
+    One forward sweep sums the squares with the grid's node weights as it
+    goes, and keeps no node history.
+    """
+    grid = pot.domain
+    _, a = propagate(pot, grid, data.lams(), initial_state(alpha), weights=grid.weights())
+    return _with_norming(data, a)
 
 
 def _normed_trajectories(pot, alpha, data):
     """norming_constants(...) and the swept phi(., lambda_n), shape (2, K, m+1)."""
     Y = _trajectories(pot, data.lams(), alpha)
-    a = pot.domain.integrate(Y[0] ** 2 + Y[1] ** 2)
+    return _with_norming(data, pot.domain.integrate(Y[0] ** 2 + Y[1] ** 2)), Y
+
+
+def _with_norming(data, a):
+    """data with the norming constants a attached, one per item in order."""
     if np.any(a <= 0):
         raise ContractError("nonpositive norming constant from quadrature")
     items = {
         n: SpectralDatum(d.n, d.lam, float(a[i]), d.b, d.c)
         for i, (n, d) in enumerate(sorted(data.items.items()))
     }
-    return SpectralData(data.angles, items), Y
+    return SpectralData(data.angles, items)
 
 
 def normalized_eigenfunction(

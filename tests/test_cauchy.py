@@ -560,6 +560,81 @@ def test_endpoint_matches_stored_sweep(K, direction, cplx):
         assert np.max(np.abs(end - last)) <= 1e-13 * np.max(np.abs(last)), m
 
 
+@pytest.mark.parametrize("K", [0, 1, 7, 17, 257])
+@pytest.mark.parametrize("direction", [1, -1])
+@pytest.mark.parametrize("cplx", [False, True])
+def test_weighted_sweep_matches_stored_sweep(K, direction, cplx):
+    """weights= sums w_j |y_j|^2 over the states a stored sweep writes: its end
+    state is the history's last node bit for bit and its sums are the grid
+    integral of the history's |y|^2 to rounding, on grids that end in blocks
+    of binary digits, by the series route (K < 257) and the table route."""
+    for m in (300, 1025, 1537):
+        g, pot = _sin_pot(m)
+        lam = np.linspace(-6.0, 9.0, K) + (0.7j if cplx else 0.0)
+        y0 = np.array([0.3, -0.9])
+        Y = propagate(pot, g, lam, y0, direction=direction, store=True)
+        end, sums = propagate(pot, g, lam, y0, direction=direction, weights=g.weights())
+        assert bool(_exp_degrees(pot)) == (K == 257), m
+        assert np.array_equal(end, Y[:, :, -1] if direction > 0 else Y[:, :, 0]), m
+        ref = g.integrate(np.abs(Y[0]) ** 2 + np.abs(Y[1]) ** 2)
+        assert sums.shape == (K,) and np.all(np.abs(sums - ref) <= 4e-15 * ref), m
+
+
+def test_weights_replace_the_stored_history():
+    """A weighted sweep keeps no history, renormalises nothing and lifts no
+    angle; its weights are one per node."""
+    from diracspec.core import DiracError, GridMismatchError
+
+    g, pot = _sin_pot(64)
+    lam, y0, w = np.array([1.0]), np.array([0.0, -1.0]), g.weights()
+    for kw in ({"store": True}, {"renorm": True}, {"angle": True}):
+        with pytest.raises(DiracError):
+            propagate(pot, g, lam, y0, weights=w, **kw)
+    with pytest.raises(GridMismatchError):
+        propagate(pot, g, lam, y0, weights=w[1:])
+
+
+# a table-route batch: endpoint sweep, stored sweep and norming constants, one digest each
+_THREAD_PROBE = """
+import hashlib, math
+import numpy as np
+from diracspec.core import BoundaryAngles, Grid, PotentialMatrix
+from diracspec.cauchy import propagate
+from diracspec.eigen import SpectralData, SpectralDatum, norming_constants
+
+g = Grid(0.0, math.pi, 1024)
+pot = PotentialMatrix(lambda x: 0.3 * np.cos(x), lambda x: 2.0 * np.sin(3.0 * x), g)
+lam = np.linspace(-128.3, 128.1, 257)
+data = SpectralData(BoundaryAngles.make(0.0, 0.0), {n: SpectralDatum(n, x) for n, x in enumerate(lam)})
+outs = [
+    propagate(pot, g, lam, [0.0, -1.0]),
+    propagate(pot, g, lam, [0.0, -1.0], direction=-1, store=True),
+    np.array([d.a for d in norming_constants(pot, 0.0, data).items.values()]),
+]
+assert pot.__dict__["_exp_tables"], "the batch should take the polynomial step table"
+print(*(hashlib.sha256(o.tobytes()).hexdigest() for o in outs))
+"""
+
+
+def test_sweep_bits_do_not_depend_on_the_blas_thread_count():
+    """The table route's BLAS products stay on the calling thread, so one and
+    two OpenBLAS threads give the same bytes."""
+    import os
+    import subprocess
+    import sys
+
+    import diracspec
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(diracspec.__file__)))
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        run = subprocess.run([sys.executable, "-c", _THREAD_PROBE], env=env, capture_output=True, text=True)
+        assert run.returncode == 0, run.stderr
+        digests.append(run.stdout.split())
+    assert digests[0] == digests[1]
+
+
 @pytest.mark.parametrize("direction", [1, -1])
 def test_stored_sweep_matches_stepwise_reference(direction):
     """Node history against a plain loop over the same step exponentials.

@@ -106,12 +106,12 @@ def test_boundary_angle_reduction():
     assert ang == pytest.approx(2.0 + math.pi * k)
 
 
-def _gregory_integrate(self, values):
+def _gregory_weights(self):
     """Gregory's end-corrected rule, weights h (3/8, 7/6, 23/24, 1, ..., 1, 23/24, 7/6, 3/8)."""
     w = np.full(self.m + 1, self.h)
     w[:3] *= (3 / 8, 7 / 6, 23 / 24)
     w[-3:] *= (23 / 24, 7 / 6, 3 / 8)
-    return values @ w
+    return w
 
 
 def _gregory_cumulative(self, values):
@@ -132,15 +132,16 @@ def test_gregory_substitute_rule_is_fourth_order():
     """The substitute rule of the ownership test integrates to O(h^4), in both forms."""
     g = Grid(0.0, 1.0, 64)
     f = np.exp(g.nodes)
-    assert abs(_gregory_integrate(g, f) - (math.e - 1.0)) < 1e-8
+    assert abs(f @ _gregory_weights(g) - (math.e - 1.0)) < 1e-8
     assert np.max(np.abs(_gregory_cumulative(g, f) - (f - 1.0))) < 1e-8
-    assert _gregory_cumulative(g, f)[-1] == pytest.approx(_gregory_integrate(g, f), rel=1e-14)
+    assert _gregory_cumulative(g, f)[-1] == pytest.approx(f @ _gregory_weights(g), rel=1e-14)
 
 
 def test_grid_owns_the_quadrature(monkeypatch):
-    """Every library integral goes through Grid.integrate and Grid.cumulative:
-    swapping the rule there moves each of them, while the GL collocation keeps
-    its own trapezoid and its G stays bit-identical."""
+    """Every library integral takes its rule from Grid.weights (directly, as the
+    norming constants' summing sweep does, or through Grid.integrate) or from
+    Grid.cumulative: swapping the rule there moves each of them, while the GL
+    collocation keeps its own trapezoid and its G stays bit-identical."""
     from diracspec import finite_rank
     from diracspec.eigen import SpectralData, SpectralDatum, find_eigenvalues, norming_constants
     from diracspec.glreconstruct import GLSeriesKernel, solve_gl
@@ -170,7 +171,7 @@ def test_grid_owns_the_quadrature(monkeypatch):
         }
 
     before = outputs()
-    monkeypatch.setattr(Grid, "integrate", _gregory_integrate)
+    monkeypatch.setattr(Grid, "weights", _gregory_weights)
     monkeypatch.setattr(Grid, "cumulative", _gregory_cumulative)
     after = outputs()
     for name in before:

@@ -209,6 +209,33 @@ def test_similarity_one_sweep_per_direction(monkeypatch):
             assert getattr(d, k) == pytest.approx(getattr(ref, k), rel=1e-12, abs=0.0)
 
 
+def test_norming_constants_keep_no_history(monkeypatch):
+    """a_n come from one summing sweep: no stored sweep, a peak allocation
+    below the size of the (2, K, m+1) history, and the stored sweep's
+    integrals to rounding."""
+    import tracemalloc
+
+    from diracspec.eigen import _normed_trajectories
+
+    g = Grid(0.0, math.pi, 1024)
+
+    def fresh():
+        return PotentialMatrix(lambda x: 0.4 * np.cos(2 * x), lambda x: np.sin(x), g)
+
+    data = find_eigenvalues(fresh(), 0.3, 0.1, -128, 128)
+    ref = _normed_trajectories(fresh(), 0.3, data)[0]
+    calls = _count_stored_sweeps(monkeypatch)
+    tracemalloc.start()
+    try:
+        out = norming_constants(fresh(), 0.3, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == [] and peak < 2 * 257 * 1025 * 8
+    for n, d in out.items.items():
+        assert d.a == pytest.approx(ref.items[n].a, rel=4e-15, abs=0.0)
+
+
 def test_gradient_one_stored_sweep(monkeypatch, sin_pot):
     n = 2
     data = norming_constants(sin_pot, 0.2, find_eigenvalues(sin_pot, 0.2, 0.1, n, n))
