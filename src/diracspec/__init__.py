@@ -84,7 +84,6 @@ from .halfaxis import (
     plan_steps,
     suggest_x_max,
     surgery,
-    two_spectra_constant,
     weyl_m0,
 )
 from .twospectra import weyl_m

@@ -317,34 +317,28 @@ def _plain_rows(text: str):
         return None
 
 
-def _bad_csv_row(path: str) -> str:
-    """Describe the first data row of a potential CSV that is not three numbers."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        next(reader)
-        for r in reader:
-            try:
-                if not r or np.array(r[:3], dtype=float).size == 3:
-                    continue
-            except ValueError:
-                pass
-            text = ",".join(r)
-            return f"{path}: line {reader.line_num}: expected three numbers x,p,q, got {text!r}"
-
-
 def _csv_rows(path: str) -> np.ndarray:
+    """The rows of a potential CSV as csv.reader reads it, in one pass.
+
+    Blank rows are skipped and fields past the third ignored; the first
+    other row that is not three numbers raises DiracError naming its line.
+    """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header != ["x", "p", "q"]:
             raise DiracError(f"bad CSV header {header!r}, expected ['x', 'p', 'q']")
-        try:
-            rows = np.array([r[:3] for r in reader if r], dtype=float)
-        except ValueError:  # text, or rows of unequal length
-            rows = None
-    if rows is None or (rows.ndim == 2 and rows.shape[1] < 3):
-        raise DiracError(_bad_csv_row(path))
-    return rows
+        flat = []
+        for r in reader:
+            try:
+                if 0 < len(r) < 3:
+                    raise ValueError
+                flat += map(float, r[:3])  # a blank row adds nothing
+            except ValueError:
+                text = ",".join(r)
+                raise DiracError(f"{path}: line {reader.line_num}: "
+                                 f"expected three numbers x,p,q, got {text!r}") from None
+    return np.array(flat).reshape(-1, 3)
 
 
 def read_potential_csv(path: str) -> PotentialMatrix:

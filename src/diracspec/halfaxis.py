@@ -13,8 +13,10 @@ entries; each edit is a finite-rank change of the spectral function, so
 sampled solutions, in one shot or one rank at a time.  Square-integrable
 solutions are swept back from x_max in the decaying direction.  The module also evaluates
 the Weyl function m0 by renormalized backward shooting, recovers half-axis
-norming constants from two spectra via principal-value products, and
-checks the half-axis eigenvalue-function derivative -1/a_m.
+norming constants from two spectra with the regular problem's
+principal-value product (``twospectra.pv_norming``, where an asymptotic
+tail for it, ROADMAP item 2, goes), and checks the half-axis
+eigenvalue-function derivative -1/a_m.
 
 Eigenvalues solve Theta(0, lambda) = alpha + k pi for the lifted Pruefer
 angle of the decaying solution swept back from x_max, which is strictly
@@ -32,7 +34,7 @@ import numpy as np
 from . import finite_rank
 from .cauchy import initial_state, propagate
 from .eigen import REFINE_WIDTH, _secant_roots
-from .twospectra import pv_product
+from .twospectra import _window, pv_norming
 from .core import (
     ContractError,
     DomainError,
@@ -49,8 +51,6 @@ SQRT_PI = math.sqrt(math.pi)
 SCAN_MESH = 16
 # half-step of the central difference in evf_halfaxis_derivative
 EVF_DELTA = 1e-3
-# imaginary parts MU_MAX and MU_MAX / 2 of two_spectra_constant's Richardson pair
-MU_MAX = 1e3
 
 
 def linear_potential(x_max: float, m: int = 4096) -> PotentialMatrix:
@@ -473,30 +473,6 @@ def evf_halfaxis_derivative(
     return (hi - lo) / (2.0 * EVF_DELTA)
 
 
-def _window(spec, N):
-    """Eigenvalues of spec at k = -N..N."""
-    try:
-        return np.array([spec[k] for k in range(-N, N + 1)])
-    except KeyError:
-        raise ContractError("spectra must cover |k| <= N") from None
-
-
-def _c_product(a, b, N, mu):
-    """Truncated product over k != 0 whose large-mu limit determines 1/c."""
-    ks = np.arange(-N, N + 1)
-    nz = ks != 0
-    return pv_product(b[nz] * np.hypot(a[nz], mu), a[nz] * np.hypot(b[nz], mu), ks[nz])
-
-
-def two_spectra_constant(la, lb, N) -> float:
-    """The positive constant c, via Richardson in the 1/mu^2 error variable."""
-    a, b = _window(la, N), _window(lb, N)
-    pinf = (4.0 * _c_product(a, b, N, MU_MAX) - _c_product(a, b, N, MU_MAX / 2.0)) / 3.0
-    if pinf <= 0:
-        raise ContractError("degenerate normalization product")
-    return 1.0 / pinf
-
-
 def halfaxis_two_spectra_norming(
     spec_a: dict[int, float],
     spec_b: dict[int, float],
@@ -508,20 +484,14 @@ def halfaxis_two_spectra_norming(
     """a_n(alpha) from the spectra at angles alpha and beta.
 
     Both dictionaries must cover |k| <= N in the enumeration with
-    lambda_0 <= 0 < lambda_1; products are symmetric principal values of
-    lb_k/la_k over k != 0 and (la_k - lambda_n)/(lb_k - lambda_n) over k != n.
+    lambda_0 <= 0 < lambda_1 and alternate; a_n comes from
+    ``twospectra.pv_norming``, the regular problem's product.
     """
     a, b = _window(spec_a, N), _window(spec_b, N)
     ok = ((b[:-1] < a[:-1]) & (a[:-1] < b[1:])) | ((a[:-1] < b[:-1]) & (b[:-1] < a[1:]))
     if not np.all(ok):
         raise InterlacingError(f"spectra fail to alternate near index {np.argmin(ok) - N}")
-    c = two_spectra_constant(spec_a, spec_b, N)
-    ks = np.arange(-N, N + 1)
-    lam_n = spec_a[n]
-    nz, kn = ks != 0, ks != n
-    num = np.where(nz, b, 1.0) * np.where(kn, a - lam_n, 1.0)
-    den = np.where(nz, a, 1.0) * np.where(kn, b - lam_n, 1.0)
-    return c * math.sin(beta - alpha) / (lam_n - spec_b[n]) * pv_product(num, den, ks)
+    return pv_norming(spec_a, spec_b, beta - alpha, n, N)
 
 
 def one_spectrum_norming_halfaxis(

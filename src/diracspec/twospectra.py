@@ -13,7 +13,9 @@ principal-value pairing (k, -k), which is what makes the truncation error
 O(1/N) instead of divergent.  The one-spectrum shortcuts for p = 0 (beta =
 0) and q = 0 (beta = pi/4) synthesize the second spectrum from the first
 through the reflection identity lam_k(eps) = -lam_{-k}(alpha) and reuse the
-same product.
+same product.  ``pv_norming`` is the one place that forms it, for this
+module and for the half-axis problem alike, so an asymptotic tail for the
+truncated product (ROADMAP item 2) goes there.
 """
 
 from __future__ import annotations
@@ -71,37 +73,49 @@ class TwoSpectraInput:
         return self.spec_e.angles.alpha
 
 
-def pv_product(num, den, ks) -> float:
-    """prod num_k / den_k over k in ks: over |k| <= N, the principal value.
+def _window(spec, N) -> np.ndarray:
+    """Eigenvalues of the map spec (k -> lambda) at k = -N..N, ascending in k."""
+    try:
+        return np.array([spec[k] for k in range(-N, N + 1)])
+    except KeyError as e:
+        raise ContractError(f"spectra must cover |k| <= {N}: no eigenvalue at k = {e.args[0]}") from None
 
-    A denominator below 1e-14 raises InconsistentDataError naming its k.
+
+def pv_norming(spec_a, spec_e, dangle: float, n: int, N: int) -> float:
+    """sin(dangle) / (la_n - le_n) * PV prod_{k != n, |k| <= N} (la_k - la_n) / (le_k - la_n).
+
+    spec_a and spec_e map k to the eigenvalues of the two problems; dangle
+    is the second angle less the first.  Both the regular and the half-axis
+    two-spectra routes take a_n here.  An n within max(10, N // 10) of the
+    truncation edge or a window without all |k| <= N raises ContractError,
+    a vanishing denominator InconsistentDataError, a product <= 0
+    ContractError.
     """
+    margin = max(10, N // 10)
+    if abs(n) > N - margin:
+        raise ContractError(f"index {n} too close to the truncation edge N = {N}")
+    la, le = _window(spec_a, N), _window(spec_e, N)
+    ks = np.arange(-N, N + 1)
+    kn = ks != n
+    lam_n = la[n + N]
+    num, den = la[kn] - lam_n, le[kn] - lam_n
     bad = np.abs(den) < 1e-14
     if np.any(bad):
-        raise InconsistentDataError(f"spectra coincide near k = {ks[np.argmax(bad)]}")
-    return float(np.prod(num / den))
+        raise InconsistentDataError(f"spectra coincide near k = {ks[kn][np.argmax(bad)]}")
+    den0 = lam_n - le[n + N]
+    if abs(den0) < 1e-14:
+        raise InconsistentDataError("leading denominator vanishes")
+    a = np.sin(dangle) / den0 * float(np.prod(num / den))
+    if a <= 0:
+        raise ContractError(f"two-spectra product gave a_{n} = {a} <= 0")
+    return float(a)
 
 
 def norming_from_two_spectra(inp: TwoSpectraInput, n: int) -> float:
     """a_n(alpha) from the truncated principal-value product; positive."""
-    N = inp.trunc
-    margin = max(10, N // 10)
-    if abs(n) > N - margin:
-        raise ContractError(f"index {n} too close to the truncation edge N = {N}")
-    la = inp.spec_a.items
-    le = inp.spec_e.items
-    lam_n = la[n].lam
-    ks = np.array([k for k in range(-N, N + 1) if k != n])
-    prod = pv_product(np.array([la[k].lam for k in ks]) - lam_n,
-                      np.array([le[k].lam for k in ks]) - lam_n, ks)
-
-    den0 = lam_n - le[n].lam
-    if abs(den0) < 1e-14:
-        raise InconsistentDataError("leading denominator vanishes")
-    a = np.sin(inp.eps - inp.alpha) / den0 * prod
-    if a <= 0:
-        raise ContractError(f"two-spectra product gave a_{n} = {a} <= 0")
-    return float(a)
+    return pv_norming({k: d.lam for k, d in inp.spec_a.items.items()},
+                      {k: d.lam for k, d in inp.spec_e.items.items()},
+                      inp.eps - inp.alpha, n, inp.trunc)
 
 
 def weyl_m(

@@ -305,23 +305,16 @@ def test_two_spectra_norming_model():
     assert a1 == pytest.approx(2.0 * SQRT_PI, rel=0.05)
 
 
-def _loop_halfaxis_norming(la, lb, alpha, beta, n, N, mu_max=1e3):
-    """a_n by the nested pairwise loops, the reference for the vectorised products."""
-    def c_product(mu):
-        out = 1.0
-        for k in range(1, N + 1):
-            for kk in (k, -k):
-                out *= (lb[kk] / la[kk]) * math.hypot(la[kk], mu) / math.hypot(lb[kk], mu)
-        return out
-
-    c = 3.0 / (4.0 * c_product(mu_max) - c_product(mu_max / 2.0))
+def _loop_halfaxis_norming(la, lb, alpha, beta, n, N):
+    """a_n by the nested pairwise loops, the reference for the vectorised product."""
     lam_n = la[n]
-    out = c * math.sin(beta - alpha) / (lam_n - lb[n])
+    out = math.sin(beta - alpha) / (lam_n - lb[n])
     if n != 0:
         out *= (la[0] - lam_n) / (lb[0] - lam_n)
     for k in range(1, N + 1):
         for kk in (k, -k):
-            out *= lb[kk] / la[kk] * ((la[kk] - lam_n) / (lb[kk] - lam_n) if kk != n else 1.0)
+            if kk != n:
+                out *= (la[kk] - lam_n) / (lb[kk] - lam_n)
     return out
 
 
@@ -332,6 +325,40 @@ def test_two_spectra_products_match_loops():
         want = _loop_halfaxis_norming(la, lb, 0.0, 1.4, n, 400)
         # 800 factors reordered: rounding differs by far less than 1e-12
         assert halfaxis_two_spectra_norming(la, lb, 0.0, 1.4, n, N=400) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", [12, 13])
+def test_two_spectra_index_at_the_edge_raises(n):
+    """n = 12 lies outside the window |k| <= N = 10, n = 13 outside the data too."""
+    la = ModelSpectrum.make("half_bc0", 12).lams
+    lb = ModelSpectrum.make("half_bc_pi2", 12).lams
+    with pytest.raises(ContractError, match="truncation edge"):
+        halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, n, N=10)
+
+
+def test_two_spectra_refuses_a_nonpositive_norming_constant():
+    """b_5 moved past a_5 leaves a_4 and a_5 both in (b_4, b_5); a_5 comes out negative."""
+    la = ModelSpectrum.make("half_bc0", 420).lams
+    lb = dict(ModelSpectrum.make("half_bc_pi2", 420).lams)
+    lb[5] = (la[5] + la[6]) / 2.0
+    with pytest.raises(ContractError, match="<= 0"):
+        halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, 5, N=400)
+
+
+def test_reflected_spectrum_for_p0():
+    """lambda_k(-alpha) = -lambda_{1-k}(alpha), which one_spectrum_norming_halfaxis uses."""
+    pot = linear_potential(12.0)
+
+    def indexed(alpha):  # enumerated so that lambda_0 <= 0 < lambda_1
+        lams = halfaxis_eigenvalues(pot, alpha, -4.0, 4.0)
+        k0 = sum(lam <= 0.0 for lam in lams) - 1
+        return {j - k0: lam for j, lam in enumerate(lams)}
+
+    plus, minus = indexed(0.3), indexed(-0.3)
+    assert len(plus) == 8 and sorted(minus) == sorted(1 - k for k in plus)
+    for k, lam in minus.items():
+        # each root is refined to 1e-10
+        assert lam == pytest.approx(-plus[1 - k], abs=1e-9)
 
 
 def test_two_spectra_rejects_non_alternating():

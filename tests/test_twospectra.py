@@ -77,6 +77,17 @@ def test_vectorised_product_matches_loop(sin_data_220, sin_spec_eps220):
         assert norming_from_two_spectra(inp, n) == pytest.approx(_loop_norming(inp, n), rel=1e-12)
 
 
+def test_halfaxis_route_is_the_regular_product():
+    from diracspec.halfaxis import halfaxis_two_spectra_norming
+
+    eps = math.pi / 4
+    inp = TwoSpectraInput(_lattice(0.0, 0.0, 220), _lattice(eps, 0.0, 220), trunc=200)
+    la = {n: d.lam for n, d in inp.spec_a.items.items()}
+    le = {n: d.lam for n, d in inp.spec_e.items.items()}
+    for n in (-7, 0, 3):
+        assert halfaxis_two_spectra_norming(la, le, 0.0, eps, n, N=200) == norming_from_two_spectra(inp, n)
+
+
 def test_positivity(sin_data_220, sin_spec_eps220):
     inp = TwoSpectraInput(sin_data_220, sin_spec_eps220, trunc=200)
     for n in (-5, -1, 0, 2, 8):
