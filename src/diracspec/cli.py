@@ -6,6 +6,11 @@ output so results can be regenerated byte-for-byte.
 
 Exit codes: 0 success, 2 input/parse errors, 3 numerical contract
 violations reported by the library.
+
+Import rule: this module imports only the standard library at module level.
+Each function imports the library modules it uses inside its body, so a
+fresh interpreter running one subcommand compiles and loads only the modules
+that subcommand runs (``reconstruct`` never loads ``halfaxis``).
 """
 
 from __future__ import annotations
@@ -16,44 +21,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
-from .core import (
-    DEFAULT_M,
-    BoundaryAngles,
-    DiracError,
-    Grid,
-    PotentialMatrix,
-    Trajectory2,
-    cumulative_c,
-    inner_product,
-    pauli_algebra_selftest,
-    read_json,
-    read_potential_csv,
-    write_json,
-    write_potential_csv,
-)
-from .cauchy import solve_cauchy, wronskian
-from .eigen import (
-    SpectralData,
-    SpectralDatum,
-    _normed_trajectories,
-    evf,
-    find_eigenvalues,
-    norming_constants,
-    parseval_defect,
-)
-from .twospectra import TwoSpectraInput, norming_from_two_spectra
-from .isospectral import TSequence, shift_one, shift_finite_recurrent, zero_family, omega_l1_distance
-from .glreconstruct import reconstruct
-from .halfaxis import (
-    ModelSpectrum,
-    SurgeryPlan,
-    linear_potential,
-    surgery,
-    weyl_m0,
-)
-
 
 class CliParseError(ValueError):
     """Input file violates the expected schema."""
@@ -61,6 +28,9 @@ class CliParseError(ValueError):
 
 def parse_spectral_json(path: str) -> SpectralData:
     """Load spectral data; a file not of SpectralData.from_dict's form raises CliParseError naming it."""
+    from .core import read_json
+    from .eigen import SpectralData
+
     obj = read_json(path)
     try:
         return SpectralData.from_dict(obj)
@@ -69,10 +39,14 @@ def parse_spectral_json(path: str) -> SpectralData:
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
+    from .core import write_json
+
     write_json({k: v for k, v in vars(args).items() if k != "func"}, out + ".config.json")
 
 
 def _load_potential(args) -> PotentialMatrix:
+    from .core import Grid, PotentialMatrix, read_potential_csv
+
     if args.input:
         return read_potential_csv(args.input)
     return PotentialMatrix.zero(Grid(0.0, math.pi, args.grid))
@@ -92,6 +66,8 @@ def _write_spectral(data: SpectralData, args) -> None:
 
 
 def _write_potential(pot: PotentialMatrix, args) -> None:
+    from .core import write_json, write_potential_csv
+
     if args.format == "json":
         g = pot.domain
         x = g.nodes
@@ -110,6 +86,8 @@ def _write_potential(pot: PotentialMatrix, args) -> None:
 
 
 def _cmd_spectrum(args) -> int:
+    from .eigen import find_eigenvalues, norming_constants
+
     pot = _load_potential(args)
     data = find_eigenvalues(pot, args.alpha, args.beta, args.nmin, args.nmax, tol=args.tol)
     data = norming_constants(pot, args.alpha, data)
@@ -118,6 +96,9 @@ def _cmd_spectrum(args) -> int:
 
 
 def _cmd_two_spectra(args) -> int:
+    from .eigen import SpectralData
+    from .twospectra import TwoSpectraInput, norming_from_two_spectra
+
     spec_a = parse_spectral_json(args.spec_a)
     spec_e = parse_spectral_json(args.spec_e)
     inp = TwoSpectraInput(spec_a, spec_e, trunc=args.trunc)
@@ -131,6 +112,8 @@ def _cmd_two_spectra(args) -> int:
 
 
 def _cmd_isospectral(args) -> int:
+    from .isospectral import TSequence, shift_finite_recurrent
+
     pot = _load_potential(args)
     entries = {}
     for chunk in args.shift:
@@ -146,6 +129,9 @@ def _cmd_isospectral(args) -> int:
 
 
 def _cmd_reconstruct(args) -> int:
+    from .core import Grid
+    from .glreconstruct import reconstruct
+
     data = parse_spectral_json(args.spec)
     grid = Grid(0.0, math.pi, args.grid)
     pot, _ = reconstruct(data, grid, args.trunc)
@@ -154,6 +140,9 @@ def _cmd_reconstruct(args) -> int:
 
 
 def _cmd_surgery(args) -> int:
+    from .core import Grid
+    from .halfaxis import ModelSpectrum, SurgeryPlan, surgery
+
     plan = SurgeryPlan.load(args.plan)
     base = ModelSpectrum.make("half_bc0", args.window)
     grid = Grid(0.0, args.xmax, args.grid)
@@ -163,6 +152,8 @@ def _cmd_surgery(args) -> int:
 
 
 def _cmd_evf(args) -> int:
+    from .eigen import evf
+
     pot = _load_potential(args)
     rows = [evf(pot, g, beta=args.beta, tol=args.tol) for g in args.gamma]
     with open(args.out, "w", newline="\n") as fh:
@@ -174,6 +165,9 @@ def _cmd_evf(args) -> int:
 
 
 def _cmd_weyl(args) -> int:
+    from .core import read_potential_csv, write_json
+    from .halfaxis import linear_potential, weyl_m0
+
     if args.input:
         pot = read_potential_csv(args.input)
         x_max = pot.domain.b
@@ -190,6 +184,18 @@ def _cmd_weyl(args) -> int:
 
 
 def _invariant_suite() -> list[tuple[str, bool]]:
+    import numpy as np
+
+    from .cauchy import solve_cauchy, wronskian
+    from .core import (BoundaryAngles, Grid, PotentialMatrix, Trajectory2, cumulative_c, inner_product,
+                       pauli_algebra_selftest)
+    from .eigen import (SpectralData, SpectralDatum, _normed_trajectories, find_eigenvalues,
+                        norming_constants, parseval_defect)
+    from .glreconstruct import reconstruct
+    from .halfaxis import ModelSpectrum, SurgeryPlan, linear_potential, surgery, weyl_m0
+    from .isospectral import omega_l1_distance, shift_one, zero_family
+    from .twospectra import TwoSpectraInput, norming_from_two_spectra
+
     out = []
 
     def run(name, fn):
@@ -308,6 +314,8 @@ def _add_common(sp):
 
 @functools.cache  # built once per process; parse_args leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
+    from .core import DEFAULT_M
+
     ap = argparse.ArgumentParser(prog="diracspec", description=__doc__.splitlines()[0])
     sub = ap.add_subparsers(dest="cmd", required=True)
 
@@ -380,6 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    from .core import DiracError
+
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -484,11 +484,14 @@ def halfaxis_two_spectra_norming(
     """a_n(alpha) from the spectra at angles alpha and beta.
 
     Both dictionaries must cover |k| <= N in the enumeration with
-    lambda_0 <= 0 < lambda_1 and alternate; a_n comes from
-    ``twospectra.pv_norming``, the regular problem's product.
+    lambda_0 <= 0 < lambda_1 and alternate in one order over the whole
+    window; a_n comes from ``twospectra.pv_norming``, the regular problem's
+    product.
     """
     a, b = _window(spec_a, N), _window(spec_b, N)
-    ok = ((b[:-1] < a[:-1]) & (a[:-1] < b[1:])) | ((a[:-1] < b[:-1]) & (b[:-1] < a[1:]))
+    # one order over the whole window, the one its first pair takes
+    lo, hi = (b, a) if b[0] < a[0] else (a, b)
+    ok = (lo[:-1] < hi[:-1]) & (hi[:-1] < lo[1:])
     if not np.all(ok):
         raise InterlacingError(f"spectra fail to alternate near index {np.argmin(ok) - N}")
     return pv_norming(spec_a, spec_b, beta - alpha, n, N)

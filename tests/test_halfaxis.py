@@ -337,12 +337,22 @@ def test_two_spectra_index_at_the_edge_raises(n):
 
 
 def test_two_spectra_refuses_a_nonpositive_norming_constant():
-    """b_5 moved past a_5 leaves a_4 and a_5 both in (b_4, b_5); a_5 comes out negative."""
+    """beta = -pi/2 names the same problem as pi/2 but flips sin(beta - alpha), so a_5 comes out negative."""
     la = ModelSpectrum.make("half_bc0", 420).lams
-    lb = dict(ModelSpectrum.make("half_bc_pi2", 420).lams)
-    lb[5] = (la[5] + la[6]) / 2.0
+    lb = ModelSpectrum.make("half_bc_pi2", 420).lams
     with pytest.raises(ContractError, match="<= 0"):
-        halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, 5, N=400)
+        halfaxis_two_spectra_norming(la, lb, 0.0, -math.pi / 2.0, 5, N=400)
+
+
+def test_two_spectra_rejects_data_alternating_in_two_orders():
+    """b_5 moved to (a_5 + a_6)/2 leaves a_4 and a_5 both in (b_4, b_5): each pair of
+    neighbours still alternates in some order, but not in one order over the window."""
+    la = ModelSpectrum.make("half_bc0", 60).lams
+    lb = dict(ModelSpectrum.make("half_bc_pi2", 60).lams)
+    assert halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, 0, N=40) == pytest.approx(0.88350, abs=1e-5)
+    lb[5] = (la[5] + la[6]) / 2.0
+    with pytest.raises(InterlacingError, match="index 5"):
+        halfaxis_two_spectra_norming(la, lb, 0.0, math.pi / 2.0, 0, N=40)
 
 
 def test_reflected_spectrum_for_p0():
