@@ -83,11 +83,19 @@ every ray by mu = (c - b)/2 within +-|S| = hypot(a, (b + c)/2); for
 M = P + lambda*Q, mu is mu(P) + lambda*h and |S| <= |S(P)| + |lambda| |S(Q)|.
 Its scans stop at segments whose bounds sum to at most pi/2 and give
 the state at every segment end, where one arctan2 per lambda fixes the
-segment's whole turn.
+segment's whole turn.  _turn_data keeps, per potential and grid, the rates
+mu(P) and mu(Q), the bounds, the largest |lambda| each segment length
+allows (negated, for a bisection) and turn_bound's two sums, so that a lift
+does no work over the grid per call but its segment sums of the rates.  A
+backward sweep steps by exp(-M), which turns rays by -mu: it sums the
+stored rates over each segment and negates the two sums, which is exact
+(rounding is symmetric in sign), instead of negating both rate rows over
+the whole grid on every call.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -108,8 +116,8 @@ _SQRT3 = np.sqrt(3.0)
 # is cosh of a root of z of modulus at most 1, safely away from 0
 _ZMAX = 1.0
 # Taylor coefficients 1/(2k+1)! of sh and 1/(2k)! of ch in z, one per degree k
-_SH = np.array([1.0 / math.factorial(2 * k + 1) for k in range(20)])
-_CH = np.array([1.0 / math.factorial(2 * k) for k in range(20)])
+_SH = [1.0 / math.factorial(2 * k + 1) for k in range(20)]
+_CH = [1.0 / math.factorial(2 * k) for k in range(20)]
 # lambda-steps per block of a sweep: under 2 MB of live temporaries, about one L2 cache
 _BLOCK = 16384
 # renormalisation threshold; a product of two factors below it cannot overflow
@@ -121,6 +129,10 @@ _ADJ = np.array([3, 1, 2, 0])[:, None]
 # calling thread: a threaded product splits the output differently, and its bits then depend on
 # the thread count, besides waking threads for a few microseconds of work
 _GEMM_SERIAL = 65536 * 4
+try:  # what np.einsum runs unoptimised, without its Python wrapper: about 1 us less per call
+    from numpy._core.multiarray import c_einsum as _einsum
+except ImportError:
+    _einsum = np.einsum
 
 
 @dataclass(frozen=True)
@@ -166,11 +178,14 @@ def _step_coeffs(pot: PotentialMatrix, grid: Grid):
 
 
 def _turn_data(pot: PotentialMatrix, grid: Grid):
-    """Per-step rotation rates (mu(P), mu(Q)), turn bounds d_P, d_Q and lift limits.
+    """Per-step rotation rates (mu(P), mu(Q)), turn bounds d_P, d_Q, negated lift limits and turn_bound.
 
     Limit r is the largest |lambda| at which every window of 2^r steps (at
     most the grid) turns rays by W_P + |lambda| W_Q <= pi/2 in all, W the
-    window's sums of the bounds.  Kept like _step_coeffs.
+    window's sums of the bounds; a window with W_Q = 0 or one so small that
+    the quotient overflows has the limit inf.  The limits are kept negated,
+    as a list that _lift_rounds bisects, and turn_bound's pair as floats, so
+    that neither does work over the grid per call.  Kept like _step_coeffs.
     """
     tables = pot.__dict__.setdefault("_turn_tables", {})
     if grid not in tables:
@@ -180,16 +195,20 @@ def _turn_data(pot: PotentialMatrix, grid: Grid):
         d_p, d_q = np.abs(mu[0]) + s[0], s[1]
         cp, cq = (np.concatenate([[0.0], np.cumsum(d)]) for d in (d_p, d_q))
         ws = [min(2**r, grid.m) for r in range((grid.m - 1).bit_length() + 1)]
-        with np.errstate(divide="ignore", invalid="ignore"):  # fmin skips 0/0: pi/2 at any lambda
+        # fmin skips 0/0: pi/2 at any lambda
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             lim = [np.fmin.reduce((0.5 * np.pi - (cp[w:] - cp[:-w])) / (cq[w:] - cq[:-w])) for w in ws]
-        tables[grid] = mu, d_p, d_q, np.minimum.accumulate(lim)
+        neg = -np.minimum.accumulate(lim)
+        # a nan limit sorts last, as np.searchsorted would sort it: past every |lambda|
+        neg = np.where(np.isnan(neg), np.inf, neg).tolist()
+        bound = float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu[1]) - (grid.b - grid.a)))
+        tables[grid] = mu, d_p, d_q, neg, bound
     return tables[grid]
 
 
 def turn_bound(pot: PotentialMatrix, grid: Grid) -> tuple[float, float]:
     """(W0, W1) with |Theta(b) - Theta(a) - lambda*(b - a)| <= W0 + |lambda| W1 at real lambda."""
-    mu, d_p, d_q, _ = _turn_data(pot, grid)
-    return float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu[1]) - (grid.b - grid.a)))
+    return _turn_data(pot, grid)[4]
 
 
 def _expm_tracefree(a, b, c):
@@ -207,10 +226,10 @@ def _expm_tracefree(a, b, c):
     z = a * a
     z += b * c
     az = np.abs(z)
-    zmax = float(np.max(az, initial=0.0))
+    zmax = float(az.max(initial=0.0))
     if not math.isfinite(zmax):
         az = np.where(np.isfinite(az), az, 0.0)
-        zmax = float(np.max(az, initial=0.0))
+        zmax = float(az.max(initial=0.0))
     s = smax = 0
     if zmax > _ZMAX:
         s = np.ceil(0.5 * np.log2(np.maximum(az, _ZMAX) / _ZMAX)).astype(int)
@@ -299,8 +318,8 @@ def _mul(x, y, out=None):
     Real stacks take one einsum pass; complex ones two calls, which keep the
     planar formulas' rounding (einsum's complex sum differs by an ulp).
     """
-    if x.dtype.kind == y.dtype.kind == "f":
-        return np.einsum("ilx,ljx->ijx", x, y, out=out)
+    if x.dtype.kind == y.dtype.kind == "f":  # einsum takes no out=None
+        return _einsum("ilx,ljx->ijx", x, y) if out is None else _einsum("ilx,ljx->ijx", x, y, out=out)
     out = np.multiply(x[:, 0, None], y[0], out=out)
     out += x[:, 1, None] * y[1]
     return out
@@ -347,6 +366,15 @@ def _bitrev(n: int) -> np.ndarray:
         br = np.concatenate([2 * br, 2 * br + 1])
     br.flags.writeable = False
     return br
+
+
+@functools.lru_cache(maxsize=64)
+def _segments(n: int, c: int):
+    """For c segments of an n-step block: the steps they start at, and _block_states' slots in
+    sweep order, each segment's start and then the end (both read-only)."""
+    starts, slots = np.arange(0, n, n // c), np.append(_bitrev(c), c)
+    starts.flags.writeable = slots.flags.writeable = False
+    return starts, slots
 
 
 def _sweep_table(pot: PotentialMatrix, grid: Grid, B: int):
@@ -442,11 +470,13 @@ def propagate(
         raise DiracError("weights sum the states instead of storing them; pass one of store and weights")
     lam = np.atleast_1d(np.asarray(lam))
     K = lam.shape[0]
-    cplx = np.iscomplexobj(lam) or np.iscomplexobj(np.asarray(y0))
+    y0 = np.asarray(y0)
+    cplx = "c" in (lam.dtype.kind, y0.dtype.kind)
     if angle and (store or weighted or cplx):
         raise DiracError("the angle lift needs an endpoint sweep at real lambda")
     dtype = complex if cplx else float
-    y0 = np.broadcast_to(np.asarray(y0, dtype=dtype).reshape(2, -1), (2, K))
+    # (2, 1) or (2, K): every use broadcasts it over the batch
+    y0 = y0.astype(dtype, copy=False).reshape(2, -1)
     m = grid.m
     step = 1 if direction > 0 else -1
     # a block's exponents (a, b, c) are its [Q P] rows times L = [lambda; 1], one
@@ -460,7 +490,7 @@ def propagate(
     QP, blocks = _sweep_table(pot, grid, B)
     # the tree level whose states the scan gives: every step stored or summed, else the block product
     keep = 0 if store or weighted else m
-    lam_top = float(np.max(np.abs(lam), initial=0.0)) if renorm or angle or K >= 8 else 0.0
+    lam_top = float(np.abs(lam).max(initial=0.0)) if renorm or angle or K >= 8 else 0.0
     V = None  # the powers of lambda when the batch takes the polynomial table
     if K >= 8:  # n >= 2, so no smaller batch takes the table
         # |z| <= ||M||_F^2 / 2 <= (||P||_F + |lambda| ||Q||_F)^2 / 2 at every step; inf or nan fails
@@ -476,9 +506,8 @@ def propagate(
                 V[-2::-1] = np.cumprod(np.broadcast_to(lam.astype(L.dtype), (2 * n_ex - 1, K)), axis=0)
                 V = V.view(float)
     if angle:
-        mu, _, _, lam_max = _turn_data(pot, grid)
-        keep = _lift_rounds(lam_max, lam_top)
-        mu = step * mu
+        mu, _, _, neg_lim, _ = _turn_data(pot, grid)
+        keep = _lift_rounds(neg_lim, lam_top)
         theta, turns = np.arctan2(y0[0], -y0[1]), np.zeros(K)
     y = y0[:, None]
     if store:
@@ -510,16 +539,17 @@ def propagate(
         rescale = renorm and not g_p + lam_top * g_q + y_big < _LOG_SAFE
         X = _block_states(E, y, keep, peak_p + lam_top * peak_q if rescale else None)
         c = X.shape[1] - 1  # states before each of c segments, then the end
-        if store:
-            order = np.append(_bitrev(n), n)  # X's slots in sweep order: the block's nodes
-            Y[:, :, lo : hi + 1] = np.take(X, order[::step], axis=1).swapaxes(1, 2)
+        if store:  # X's slots in sweep order are the block's nodes
+            Y[:, :, lo : hi + 1] = np.take(X, _segments(n, n)[1][::step], axis=1).swapaxes(1, 2)
         if weighted:  # the states before each step, at the block's nodes in X's order
             sums += _weighted_squares(X[:, :n], w[lo + _bitrev(n) if step > 0 else hi - _bitrev(n)])
         if angle:
             # each segment turns every ray by rot within +-pi/2: lift exactly
-            seg = np.arange(0, n, n // c)
-            mp, mq = np.add.reduceat(mu[:, lo:hi][:, ::step], seg, axis=1)[..., None]
-            ends = np.take(X, np.append(_bitrev(c)[1:], c), axis=1)
+            starts, slots = _segments(n, c)
+            mp, mq = np.add.reduceat(mu[:, lo:hi][:, ::step], starts, axis=1)[..., None]
+            if step < 0:  # the rates of a backward sweep are negated, and so (exactly) are their sums
+                mp, mq = -mp, -mq
+            ends = np.take(X, slots[1:], axis=1)
             new = np.arctan2(ends[0], -ends[1])
             # rot minus each segment's principal difference, end minus start
             slip = mp + mq * lam - new
@@ -538,9 +568,12 @@ def propagate(
     return (y, theta + 2.0 * np.pi * turns) if angle else y
 
 
-def _lift_rounds(lam_max, lam) -> int:
-    """Largest r with every window of 2^r steps turning rays at |lambda| <= lam by at most pi/2."""
-    r = int(np.searchsorted(-lam_max, -lam, side="right")) - 1
+def _lift_rounds(neg_lim, lam) -> int:
+    """Largest r with every window of 2^r steps turning rays at |lambda| <= lam by at most pi/2.
+
+    neg_lim is _turn_data's list of negated limits, non-decreasing.
+    """
+    r = bisect.bisect_right(neg_lim, -lam) - 1
     if r < 0:
         raise DiracError("one step turns rays by more than pi/2; refine the grid")
     return r

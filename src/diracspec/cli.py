@@ -26,16 +26,22 @@ class CliParseError(ValueError):
     """Input file violates the expected schema."""
 
 
-def parse_spectral_json(path: str) -> SpectralData:
-    """Load spectral data; a file not of SpectralData.from_dict's form raises CliParseError naming it."""
+def _parse_json(path: str, from_dict):
+    """from_dict of the JSON file at path; a file not of its form raises CliParseError naming it."""
     from .core import read_json
-    from .eigen import SpectralData
 
     obj = read_json(path)
     try:
-        return SpectralData.from_dict(obj)
+        return from_dict(obj)
     except ValueError as exc:
         raise CliParseError(f"{path}: {exc}") from exc
+
+
+def parse_spectral_json(path: str) -> SpectralData:
+    """Load spectral data; a file not of SpectralData.from_dict's form raises CliParseError naming it."""
+    from .eigen import SpectralData
+
+    return _parse_json(path, SpectralData.from_dict)
 
 
 def _echo_config(args: argparse.Namespace, out: str) -> None:
@@ -143,7 +149,7 @@ def _cmd_surgery(args) -> int:
     from .core import Grid
     from .halfaxis import ModelSpectrum, SurgeryPlan, surgery
 
-    plan = SurgeryPlan.load(args.plan)
+    plan = _parse_json(args.plan, SurgeryPlan.from_dict)
     base = ModelSpectrum.make("half_bc0", args.window)
     grid = Grid(0.0, args.xmax, args.grid)
     result = surgery(base, plan, grid)

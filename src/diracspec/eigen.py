@@ -18,6 +18,7 @@ is one lifted endpoint sweep over the batch of unconverged roots.
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 
@@ -184,10 +185,19 @@ def char_function(pot: PotentialMatrix, alpha, beta, lam):
 
 def _prufer_residual(pot, grid, lams, alpha, beta, ns):
     """f_n(lambda) = Theta(pi, lambda) - beta - n pi, with Theta(0) = alpha."""
-    _, theta = propagate(pot, grid, lams, initial_state(alpha), angle=True)
-    # the sweep starts Theta at the principal angle of phi(0); move it to alpha
-    theta += alpha - np.arctan2(np.sin(alpha), np.cos(alpha))
+    y0, shift = _start(float(alpha))
+    _, theta = propagate(pot, grid, lams, y0, angle=True)
+    # the sweep starts Theta at the principal angle of phi(0); shift moves it to alpha
+    theta += shift
     return theta - beta - ns * np.pi
+
+
+@functools.lru_cache(maxsize=64)
+def _start(alpha: float):
+    """initial_state(alpha) (read-only) and alpha minus its principal angle, kept per alpha."""
+    y0 = initial_state(alpha)
+    y0.flags.writeable = False
+    return y0, alpha - np.arctan2(np.sin(alpha), np.cos(alpha))
 
 
 def _secant_roots(residual, lo, hi, x, slope, target, labels):
@@ -196,27 +206,33 @@ def _secant_roots(residual, lo, hi, x, slope, target, labels):
     Root j starts at x[j] with a step of slope slope[j], then takes secant
     steps; a step that leaves the bracket bisects it, and so does every 8th
     iteration unless the step is already below target[j].  It leaves the
-    batch once its step or bracket is below target[j].
-    Updates lo, hi and x in place; BracketFailure names labels[j].
+    batch once its step or bracket is below target[j].  act indexes the
+    roots still in the batch; their iterates, brackets and targets are kept
+    compact, in act's order, and shrink only when a root leaves.
+    Updates lo, hi and x in place as roots leave; BracketFailure names labels[j].
     """
-    xp, fp = np.zeros_like(x), np.zeros_like(x)
     act = np.arange(x.size)
+    xi, a, b, t = x.copy(), lo.copy(), hi.copy(), target
     for it in range(MAX_ITER):
-        xi = x[act]
         f = residual(xi, act)
-        lo[act] = np.where(f <= 0.0, xi, lo[act])
-        hi[act] = np.where(f >= 0.0, xi, hi[act])
+        a = np.where(f <= 0.0, xi, a)
+        b = np.where(f >= 0.0, xi, b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            step = slope[act] if it == 0 else (f - fp[act]) / (xi - xp[act])
+            step = slope if it == 0 else (f - fp) / (xi - xp)
             new = xi - f / step
-        a, b, t = lo[act], hi[act], target[act]
         bad = ~np.isfinite(new) | (new < a) | (new > b)
-        bad |= (it % 8 == 7) & (np.abs(new - xi) >= t)
+        if it % 8 == 7:
+            bad |= np.abs(new - xi) >= t
         new = np.where(bad, 0.5 * (a + b), new)
-        xp[act], fp[act], x[act] = xi, f, new
-        act = act[(np.abs(new - xi) >= t) & (b - a >= t)]
-        if act.size == 0:
-            return x
+        go = (np.abs(new - xi) >= t) & (b - a >= t)
+        if not go.all():
+            done = act[~go]
+            x[done], lo[done], hi[done] = new[~go], a[~go], b[~go]
+            if not go.any():
+                return x
+            act, new, a, b, t, f, xi = act[go], new[go], a[go], b[go], t[go], f[go], xi[go]
+        xp, fp, xi = xi, f, new
+    x[act], lo[act], hi[act] = xi, a, b
     j = act[0]
     raise BracketFailure(int(labels[j]), float(lo[j]), float(hi[j]))
 

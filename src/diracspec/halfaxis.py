@@ -27,6 +27,7 @@ refines them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -186,11 +187,25 @@ class SurgeryPlan:
         }
 
     @staticmethod
-    def from_dict(d: dict) -> "SurgeryPlan":
+    def from_dict(d) -> "SurgeryPlan":
+        """The inverse of to_dict, checking the form.
+
+        The form is an object with optional lists remove (integers), add
+        (objects with numbers mu and c) and rescale (objects with an integer n
+        and a number b), and no other field; numbers are finite, true and
+        false are not numbers, and an integer may be written as an integral
+        float.  Anything else raises ValueError saying what is wrong; a plan
+        of this form that breaks a contract raises SurgeryPlan's ContractError.
+        """
+        if not isinstance(d, dict):
+            raise ValueError(f"a surgery plan must be an object, got {d!r}")
+        unknown = sorted(set(d) - {"remove", "add", "rescale"})
+        if unknown:  # a misspelt field would leave its edits out of the plan
+            raise ValueError(f"unknown field {unknown[0]!r}, expected 'remove', 'add' or 'rescale'")
         return SurgeryPlan(
-            frozenset(d.get("remove", ())),
-            tuple((e["mu"], e["c"]) for e in d.get("add", ())),
-            tuple((e["n"], e["b"]) for e in d.get("rescale", ())),
+            frozenset(_plan_list(d, "remove")),
+            tuple(_plan_list(d, "add", ("mu", "c"))),
+            tuple(_plan_list(d, "rescale", ("n", "b"))),
         )
 
     def save(self, path) -> None:
@@ -199,6 +214,33 @@ class SurgeryPlan:
     @staticmethod
     def load(path) -> "SurgeryPlan":
         return SurgeryPlan.from_dict(read_json(path))
+
+
+def _plan_list(d: dict, key: str, names=None) -> list:
+    """Plan field key, a list (empty if absent) of integers, or of objects whose fields names are
+    an integer n and finite numbers, as their values or tuples of them; else ValueError."""
+    entries = d.get(key, [])
+    if not isinstance(entries, list):
+        raise ValueError(f"field '{key}' must be a list, got {entries!r}")
+    if names is None:
+        return [_plan_value(e, f"{key} entry {i}", True) for i, e in enumerate(entries)]
+    for i, e in enumerate(entries):
+        if not isinstance(e, dict):
+            raise ValueError(f"{key} entry {i} must be an object, got {e!r}")
+    return [tuple(_plan_value(e.get(f), f"{key} entry {i}: field '{f}'", f == "n") for f in names)
+            for i, e in enumerate(entries)]
+
+
+def _plan_value(value, where: str, integer: bool):
+    """value as an int (an integer or an integral float) or as a float (a finite number), else
+    ValueError naming where it sits in the plan; true and false are neither."""
+    if integer:
+        ok = isinstance(value, int) or isinstance(value, float) and value.is_integer()
+    else:
+        ok = isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    if isinstance(value, bool) or not ok:
+        raise ValueError(f"{where} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 @dataclass

@@ -968,15 +968,45 @@ def test_lift_rounds_match_window_scan(m):
              for s in (0.0, 6.0)]
     whole = (m - 1).bit_length()
     for pot in pots:
-        _, d_p, d_q, lam_max = _turn_data(pot, g)
+        _, d_p, d_q, neg_lim, _ = _turn_data(pot, g)
         for lam in np.concatenate([[0.0], np.geomspace(1e-3, 4.0 * m, 400)]):
             try:
                 want = min(_lift_rounds_scan(d_p + lam * d_q), whole)
             except DiracError:
                 with pytest.raises(DiracError):
-                    _lift_rounds(lam_max, lam)
+                    _lift_rounds(neg_lim, lam)
                 continue
-            assert _lift_rounds(lam_max, lam) == want, (lam, pot)
+            assert _lift_rounds(neg_lim, lam) == want, (lam, pot)
+
+
+@pytest.mark.parametrize("m", [64, 1537])
+def test_cached_turn_data_matches_fresh_sums(m):
+    """turn_bound and _lift_rounds read from the cached turn data give what
+    the sums over the steps and a search of the limits computed afresh give."""
+    from diracspec.cauchy import _lift_rounds, _step_coeffs, _turn_data, turn_bound
+    from diracspec.core import DiracError
+
+    g = Grid(0.0, math.pi, m)
+    pots = [_sin_pot(m)[1], PotentialMatrix(lambda x: 0.3 * np.cos(2 * x), lambda x: 6.0 * np.sin(x) + 6.0, g),
+            PotentialMatrix(lambda x: 1e-310 * np.sin(2 * x), lambda x: 1e-310 * np.cos(x), g)]
+    for pot in pots:
+        a, b, c = _step_coeffs(pot, g).swapaxes(0, 1)
+        mu, s = 0.5 * (c - b), np.hypot(a, 0.5 * (b + c))
+        d_p, d_q = np.abs(mu[0]) + s[0], s[1]
+        assert turn_bound(pot, g) == (float(np.sum(d_p)), float(np.sum(d_q) + abs(np.sum(mu[1]) - math.pi)))
+        cp, cq = (np.concatenate([[0.0], np.cumsum(d)]) for d in (d_p, d_q))
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            lim = [np.fmin.reduce((0.5 * np.pi - (cp[w:] - cp[:-w])) / (cq[w:] - cq[:-w]))
+                   for w in [min(2**r, m) for r in range((m - 1).bit_length() + 1)]]
+        neg_lam_max = -np.minimum.accumulate(lim)
+        neg_lim = _turn_data(pot, g)[3]
+        for lam in np.concatenate([[0.0, np.inf, np.nan], np.geomspace(1e-3, 4.0 * m, 200)]):
+            want = int(np.searchsorted(neg_lam_max, -lam, side="right")) - 1
+            if want < 0:
+                with pytest.raises(DiracError):
+                    _lift_rounds(neg_lim, lam)
+            else:
+                assert _lift_rounds(neg_lim, lam) == want, (lam, pot)
 
 
 def test_step_tables_die_with_the_potential():

@@ -235,6 +235,30 @@ def test_exit_2_on_malformed_items(tmp_path, capsys, obj, what):
     assert str(path) in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("plan, what", [
+    ({"rescale": {"2": 0.5}}, "field 'rescale' must be a list"),
+    ({"add": [{"mu": "x", "c": 1}]}, "add entry 0: field 'mu' must be a finite number"),
+    ({"add": [{"mu": 1.5}]}, "add entry 0: field 'c' must be a finite number, got None"),
+    ({"add": [[1.5, 1.0]]}, "add entry 0 must be an object"),
+    ({"rescale": [{"n": 0, "b": 2.0}, {"n": "1", "b": 2.0}]}, "rescale entry 1: field 'n' must be an integer"),
+    ({"remove": [0, 1.5]}, "remove entry 1 must be an integer"),
+    ({"remove": "01"}, "field 'remove' must be a list"),
+    ([0], "a surgery plan must be an object"),
+    ({"removals": [0]}, "unknown field 'removals'"),
+], ids=["rescale-not-a-list", "string-mu", "missing-c", "entry-not-an-object", "string-n", "fractional-remove",
+        "remove-not-a-list", "plan-not-an-object", "misspelt-field"])
+def test_exit_2_on_malformed_surgery_plan(tmp_path, capsys, plan, what):
+    """A plan file not of SurgeryPlan.from_dict's form is a parse error naming
+    the file (exit 2), never a traceback."""
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(plan))
+    rc = _run(["surgery", "--plan", path, "--grid", 64, "--out", tmp_path / "o.csv"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse error: {path}: {what}") and "Traceback" not in err
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("obj, error", [
     (_with_item(1, a=-1.0), "[ContractError]: norming constant a_-1 = -1.0 <= 0"),
     (_with_item(1, **{"lambda": -2.0}), "[InterlacingError]: eigenvalues not strictly increasing in n"),

@@ -268,6 +268,18 @@ def test_plan_validation():
         SurgeryPlan(additions=((2.0, 1.0),)).validate_against(base)
 
 
+def test_plan_from_dict_form():
+    """Integral floats are indices and integers are numbers; a plan of the right
+    form that breaks a contract raises ContractError, not a parse error."""
+    plan = SurgeryPlan.from_dict({"remove": [0.0], "rescale": [{"n": 1.0, "b": 2}], "add": [{"mu": 1, "c": 3}]})
+    assert plan == SurgeryPlan(frozenset({0}), ((1.0, 3.0),), ((1, 2.0),))
+    assert SurgeryPlan.from_dict({}) == SurgeryPlan()
+    with pytest.raises(ContractError):
+        SurgeryPlan.from_dict({"add": [{"mu": 1.1, "c": -1.0}]})
+    with pytest.raises(ValueError, match="add entry 0: field 'c' must be a finite number, got inf"):
+        SurgeryPlan.from_dict({"add": [{"mu": 1.1, "c": float("inf")}]})
+
+
 def test_weyl_m0_asymptotics():
     from diracspec.halfaxis import weyl_m0
 

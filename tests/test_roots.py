@@ -6,6 +6,7 @@ neighbouring roots n_min - 1 and n_max + 1.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,8 +15,8 @@ from hypothesis import strategies as st
 
 from diracspec import eigen
 from diracspec.cauchy import propagate
-from diracspec.core import DiracError, Grid, PotentialMatrix
-from diracspec.eigen import _prufer_residual, char_function, find_eigenvalues
+from diracspec.core import BracketFailure, DiracError, Grid, PotentialMatrix
+from diracspec.eigen import MAX_ITER, _prufer_residual, _secant_roots, char_function, find_eigenvalues
 from diracspec.halfaxis import _decaying_start, halfaxis_eigenvalues
 
 
@@ -92,6 +93,87 @@ def test_converged_secant_step_is_not_bisected(monkeypatch, gamma):
     assert len(sweeps) == 8
     lams = _certified_window(pot, sample.alpha, 1.1941819496003263, sample.m, sample.m)
     assert abs(lams[1] - sample.value) < 1e-12
+
+
+def _secant_reference(residual, lo, hi, x, slope, target, labels):
+    """The secant engine on full-length state, indexed by the active roots every iteration (oracle)."""
+    xp, fp = np.zeros_like(x), np.zeros_like(x)
+    act = np.arange(x.size)
+    for it in range(MAX_ITER):
+        xi = x[act]
+        f = residual(xi, act)
+        lo[act] = np.where(f <= 0.0, xi, lo[act])
+        hi[act] = np.where(f >= 0.0, xi, hi[act])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = slope[act] if it == 0 else (f - fp[act]) / (xi - xp[act])
+            new = xi - f / step
+        a, b, t = lo[act], hi[act], target[act]
+        bad = ~np.isfinite(new) | (new < a) | (new > b)
+        bad |= (it % 8 == 7) & (np.abs(new - xi) >= t)
+        new = np.where(bad, 0.5 * (a + b), new)
+        xp[act], fp[act], x[act] = xi, f, new
+        act = act[(np.abs(new - xi) >= t) & (b - a >= t)]
+        if act.size == 0:
+            return x
+    j = act[0]
+    raise BracketFailure(int(labels[j]), float(lo[j]), float(hi[j]))
+
+
+def _secant_case(targets):
+    """Inputs of _secant_roots for five roots of tanh-shaped residuals that leave at different iterations."""
+    roots = np.array([-1.3, 0.2, 0.7, 2.9, 40.0])
+    scale = np.array([1.0, 3.0, 0.2, 1.0, 7.0])
+
+    def residual(xs, act):
+        return np.tanh(scale[act] * (xs - roots[act])) + 0.01 * (xs - roots[act]) ** 3
+
+    x = roots + np.array([0.1, -0.4, 0.05, 0.9, -2.0])
+    return residual, x - 3.0, x + 2.5, x, np.ones(5), np.asarray(targets, dtype=float), np.arange(-2, 3)
+
+
+def test_secant_roots_match_full_state_reference():
+    """Keeping the active roots' state compact changes no iterate: x, lo and hi,
+    all updated in place, equal the full-state engine's bit for bit."""
+    args = _secant_case([1e-12, 1e-9, 1e-12, 1e-6, 1e-12])
+    ref = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    x_in, lo_in, hi_in = args[3], args[1], args[2]
+    start = lo_in.copy(), hi_in.copy()
+    out = _secant_roots(*args)
+    _secant_reference(*ref)
+    assert out is x_in
+    for got, want in zip((x_in, lo_in, hi_in), (ref[3], ref[1], ref[2])):
+        np.testing.assert_array_equal(got, want)
+    assert np.all(lo_in > start[0]) and np.all(hi_in < start[1])
+    assert np.all((lo_in <= x_in) & (x_in <= hi_in))
+
+
+def test_secant_roots_failure_names_the_stuck_root():
+    """A root that cannot converge (target 0) while the others leave the batch
+    raises BracketFailure with its own label and bracket, and the bracket is the
+    one written to lo and hi, as the full-state engine writes it."""
+    args = _secant_case([1e-12, 1e-12, 1e-12, 0.0, 1e-12])
+    ref = [a.copy() if isinstance(a, np.ndarray) else a for a in args]
+    with pytest.raises(BracketFailure) as got:
+        _secant_roots(*args)
+    with pytest.raises(BracketFailure) as want:
+        _secant_reference(*ref)
+    lo, hi = args[1], args[2]
+    assert got.value.n == want.value.n == 1
+    assert str(got.value) == str(want.value) == f"no certified root for index n=1 in [{lo[3]:.6g}, {hi[3]:.6g}]"
+    for got_arr, want_arr in zip(args[1:4], ref[1:4]):
+        np.testing.assert_array_equal(got_arr, want_arr)
+
+
+@pytest.mark.parametrize("amp", [1e-316, 1e-310, 1e-305, 1e-299])
+def test_near_zero_potential_roots_raise_no_warning(amp):
+    """On a potential so small that a window's turn bound W_Q is subnormal, the
+    lift limits overflow to inf, the right limit, without a RuntimeWarning."""
+    pot = PotentialMatrix(lambda x: amp * np.sin(2 * x), lambda x: amp * np.cos(x), Grid(0.0, math.pi, 512))
+    alpha, beta = 0.2, -0.3
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lams = find_eigenvalues(pot, alpha, beta, -3, 3).lams()
+    np.testing.assert_allclose(lams, np.arange(-3, 4) + (beta - alpha) / np.pi, rtol=0.0, atol=1e-12)
 
 
 @st.composite
